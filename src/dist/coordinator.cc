@@ -6,12 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <deque>
+#include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "dist/transport.h"
@@ -57,41 +55,22 @@ std::string structural_bytes(const sched::ExploreOptions& o) {
 
 // --- merged-graph replay ---------------------------------------------
 
-struct RNode {
-  std::uint32_t worker = 0;
-  sched::StateId id;
-  bool processed = false;
-  bool terminal = false;
-  bool stuck = false;
-  std::string stuck_reason;
-  struct REdge {
-    sem::Choice choice;
-    bool faulted = false;
-    bool overflow = false;
-    std::string fault;
-    RNode* child = nullptr;
-  };
-  std::vector<REdge> edges;
-  enum class Color : std::uint8_t { White, OnStack, Done };
-  Color color = Color::White;
-};
+using sched::graph::Node;
 
-/// The merged distributed graph plus the per-worker stores finals are
-/// materialized from.
+/// The merged distributed graph: the workers' node records stay in their
+/// graph parts, edges are linked across parts, and the per-worker stores
+/// are decoded for materializing finals.
 struct MergedGraph {
   std::vector<std::unique_ptr<sched::StateStore>> stores;  // per worker
-  std::deque<RNode> arena;                                 // stable addrs
-  std::vector<std::unordered_map<std::uint32_t, RNode*>> by_local;
-  RNode* root = nullptr;
+  Node* root = nullptr;
 };
 
 MergedGraph merge_parts(std::vector<GraphPartMsg>& parts, Gid root) {
   MergedGraph g;
   const std::size_t n = parts.size();
-  g.stores.resize(n);
-  g.by_local.resize(n);
+  std::vector<std::unordered_map<std::uint32_t, Node*>> by_local(n);
   for (std::size_t w = 0; w < n; ++w) {
-    g.stores[w] = std::make_unique<sched::StateStore>();
+    g.stores.push_back(std::make_unique<sched::StateStore>());
     try {
       BinReader r(parts[w].store);
       g.stores[w]->decode(r);
@@ -100,42 +79,24 @@ MergedGraph merge_parts(std::vector<GraphPartMsg>& parts, Gid root) {
       throw DistError(DistError::Kind::Corrupt,
                       std::string("graph part store: ") + e.what());
     }
-    for (const GraphPartMsg::Node& rec : parts[w].nodes) {
-      g.arena.push_back(RNode{});
-      RNode* nd = &g.arena.back();
-      nd->worker = static_cast<std::uint32_t>(w);
-      nd->id = sched::StateId{rec.local};
-      nd->processed = rec.processed != 0;
-      nd->terminal = rec.terminal != 0;
-      nd->stuck = rec.stuck != 0;
-      nd->stuck_reason = rec.stuck_reason;
-      g.by_local[w].emplace(rec.local, nd);
-    }
+    for (Node& nd : parts[w].nodes) by_local[w].emplace(nd.local, &nd);
   }
-  const auto lookup = [&](Gid gid) -> RNode* {
+  const auto lookup = [&](Gid gid) -> Node* {
     if (gid.worker() >= n) {
       throw DistError(DistError::Kind::Corrupt,
                       "edge references an unknown worker");
     }
-    const auto it = g.by_local[gid.worker()].find(gid.local());
-    if (it == g.by_local[gid.worker()].end()) {
+    const auto it = by_local[gid.worker()].find(gid.local());
+    if (it == by_local[gid.worker()].end()) {
       throw DistError(DistError::Kind::Corrupt,
                       "edge references an unknown node");
     }
     return it->second;
   };
-  for (std::size_t w = 0; w < n; ++w) {
-    for (const GraphPartMsg::Node& rec : parts[w].nodes) {
-      RNode* nd = g.by_local[w].at(rec.local);
-      nd->edges.reserve(rec.edges.size());
-      for (const GraphPartMsg::Edge& er : rec.edges) {
-        RNode::REdge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted != 0;
-        e.overflow = er.overflow != 0;
-        e.fault = er.fault;
-        if (!e.faulted && !e.overflow) e.child = lookup(er.child);
-        nd->edges.push_back(std::move(e));
+  for (GraphPartMsg& part : parts) {
+    for (Node& nd : part.nodes) {
+      for (sched::graph::Edge& e : nd.edges) {
+        if (!e.faulted && !e.overflow) e.to = lookup(e.child);
       }
     }
   }
@@ -143,141 +104,15 @@ MergedGraph merge_parts(std::vector<GraphPartMsg>& parts, Gid root) {
   return g;
 }
 
-/// Serial DFS over the merged graph — a mirror of the in-process
-/// parallel engine's replay() (explore_parallel.cc), with Gid-keyed
-/// finals dedup and finals re-interned into a fresh result store.
-/// Keeping the enter() checks in the same order is what makes the
-/// distributed verdict byte-identical to the serial engine's.
-sched::ExploreResult replay(MergedGraph& g, const sched::ExploreOptions& opts,
-                            Limit stop_reason) {
-  sched::ExploreResult result;
-  result.min_steps_to_termination = ~0ull;
-
-  std::unordered_set<std::uint64_t> finals_seen;
-  std::vector<Gid> finals_order;
-  struct Frame {
-    RNode* node;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  std::vector<sem::Choice> path;
-  std::uint64_t entered = 0;
-  bool limits_hit = false;
-
-  auto hit_limit = [&](Limit l) {
-    limits_hit = true;
-    if (result.limit_hit == Limit::None) result.limit_hit = l;
-  };
-
-  auto add_violation = [&](sched::Violation::Kind kind, std::string msg) {
-    result.violations.push_back({kind, std::move(msg), path});
-  };
-
-  auto enter = [&](RNode* nd) -> bool {
-    if (nd == nullptr) {  // overflow edge: a partition was at the cap
-      hit_limit(Limit::MaxStates);
-      return false;
-    }
-    if (nd->color == RNode::Color::OnStack) {
-      add_violation(sched::Violation::Kind::Cycle,
-                    "schedule revisits an earlier state: a scheduler can "
-                    "loop forever");
-      return false;
-    }
-    if (nd->color == RNode::Color::Done) return false;
-    if (entered >= opts.max_states) {
-      hit_limit(Limit::MaxStates);
-      return false;
-    }
-    ++entered;
-    ++result.states_visited;
-
-    if (nd->terminal) {
-      nd->color = RNode::Color::Done;
-      result.min_steps_to_termination =
-          std::min<std::uint64_t>(result.min_steps_to_termination,
-                                  path.size());
-      result.max_steps_to_termination =
-          std::max<std::uint64_t>(result.max_steps_to_termination,
-                                  path.size());
-      const Gid gid = Gid::make(nd->worker, nd->id.v);
-      if (finals_seen.insert(gid.v).second) finals_order.push_back(gid);
-      return false;
-    }
-    if (nd->stuck) {
-      nd->color = RNode::Color::Done;
-      add_violation(sched::Violation::Kind::Stuck, nd->stuck_reason);
-      return false;
-    }
-    if (!nd->processed) {
-      nd->color = RNode::Color::Done;
-      if (stop_reason != Limit::None) {
-        // Budget-stopped run: this node sits on the unexpanded
-        // frontier, not past the depth bound.
-        hit_limit(stop_reason);
-        return false;
-      }
-      hit_limit(Limit::MaxDepth);
-      if (path.size() >= opts.max_depth) {
-        add_violation(sched::Violation::Kind::DepthExceeded,
-                      "path exceeded the exploration depth bound");
-      }
-      return false;
-    }
-    if (path.size() >= opts.max_depth) {
-      nd->color = RNode::Color::Done;
-      hit_limit(Limit::MaxDepth);
-      add_violation(sched::Violation::Kind::DepthExceeded,
-                    "path exceeded the exploration depth bound");
-      return false;
-    }
-    nd->color = RNode::Color::OnStack;
-    stack.push_back(Frame{nd, 0});
-    return true;
-  };
-
-  enter(g.root);
-
-  auto should_stop = [&] {
-    return opts.stop_at_first_violation && !result.violations.empty();
-  };
-
-  while (!stack.empty() && !should_stop()) {
-    Frame& top = stack.back();
-    if (top.next >= top.node->edges.size()) {
-      top.node->color = RNode::Color::Done;
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const RNode::REdge& e = top.node->edges[top.next++];
-    ++result.transitions;
-    path.push_back(e.choice);
-    if (e.faulted) {
-      add_violation(sched::Violation::Kind::Fault, e.fault);
-      path.pop_back();
-      continue;
-    }
-    if (!enter(e.overflow ? nullptr : e.child)) path.pop_back();
+/// The worker whose graph part holds `nd`.
+std::uint32_t part_of(const std::vector<GraphPartMsg>& parts,
+                      const Node* nd) {
+  const std::less_equal<const Node*> le;
+  for (std::uint32_t w = 0; w < parts.size(); ++w) {
+    const std::vector<Node>& ns = parts[w].nodes;
+    if (!ns.empty() && le(ns.data(), nd) && le(nd, &ns.back())) return w;
   }
-
-  if (result.min_steps_to_termination == ~0ull) {
-    result.min_steps_to_termination = 0;
-  }
-  // Re-intern the finals into a fresh store in first-visit order, so
-  // result.final_ids materialize to exactly the machines (and order)
-  // the serial engine reports.
-  auto result_store = std::make_shared<sched::StateStore>();
-  result.final_ids.reserve(finals_order.size());
-  for (const Gid gid : finals_order) {
-    const sem::Machine m =
-        g.stores[gid.worker()]->materialize(sched::StateId{gid.local()});
-    const auto r = result_store->intern(m);
-    result.final_ids.push_back(r.id);
-  }
-  result.store = std::move(result_store);
-  result.exhaustive = !limits_hit && stack.empty();
-  return result;
+  throw DistError(DistError::Kind::Protocol, "final outside every part");
 }
 
 // --- the coordinator proper ------------------------------------------
@@ -304,6 +139,7 @@ class Coordinator {
         initial_(initial),
         opts_(opts),
         dopts_(dopts),
+        budget_(opts),
         program_fp_(sched::program_fingerprint(prg)),
         config_fp_(sched::config_fingerprint(kc)) {
     if (dopts_.n_workers == 0) {
@@ -316,7 +152,6 @@ class Coordinator {
   ~Coordinator() { cleanup_peers(); }
 
   DistResult run() {
-    t_start_ = std::chrono::steady_clock::now();
     for (;;) {
       try {
         return run_once();
@@ -754,28 +589,6 @@ class Coordinator {
     return total;
   }
 
-  [[nodiscard]] Limit budget_tripped() const {
-    if (opts_.stop_flag != nullptr &&
-        opts_.stop_flag->load(std::memory_order_relaxed)) {
-      return Limit::Interrupted;
-    }
-    if (opts_.stop_after_states != 0 &&
-        total_owned() >= opts_.stop_after_states) {
-      return Limit::Interrupted;
-    }
-    if (opts_.deadline_ms != 0 &&
-        std::chrono::steady_clock::now() - t_start_ >=
-            std::chrono::milliseconds(opts_.deadline_ms)) {
-      return Limit::Deadline;
-    }
-    if (opts_.mem_limit_bytes != 0) {
-      std::uint64_t rss = sched::current_rss_bytes();
-      for (const Peer& p : peers_) rss += p.last_ack.rss_bytes;
-      if (rss >= opts_.mem_limit_bytes) return Limit::MemLimit;
-    }
-    return Limit::None;
-  }
-
   // --- checkpointing -------------------------------------------------
 
   /// Pause -> quiesce -> per-worker generation files -> manifest
@@ -942,7 +755,13 @@ class Coordinator {
         piecemeal_recover(s.worker);
         continue;
       }
-      stop_reason = budget_tripped();
+      // The fleet's budgets: states owned across all partitions, and
+      // the coordinator's RSS plus every worker's reported working set.
+      stop_reason = budget_.tripped(total_owned(), [&] {
+        std::uint64_t rss = sched::current_rss_bytes();
+        for (const Peer& p : peers_) rss += p.last_ack.rss_bytes;
+        return rss;
+      });
       if (stop_reason == Limit::None &&
           total_owned() >= opts_.max_states) {
         // The fleet holds the state cap collectively; stop expanding.
@@ -1016,10 +835,20 @@ class Coordinator {
     while (!outbufs_empty()) pump(2);
     cleanup_stopped_fleet();
 
-    // Merge + replay.
-    MergedGraph g = merge_parts(parts_, root_);
+    // Merge + replay, then re-intern the finals into a fresh store in
+    // first-visit order, so result.final_ids materialize to exactly the
+    // machines (and order) the serial engine reports.
+    const MergedGraph g = merge_parts(parts_, root_);
+    sched::graph::Replay rp = sched::graph::replay(g.root, opts_, stop_reason);
     DistResult out;
-    out.result = replay(g, opts_, stop_reason);
+    out.result = std::move(rp.result);
+    auto result_store = std::make_shared<sched::StateStore>();
+    for (const Node* nd : rp.finals) {
+      const sem::Machine m =
+          g.stores[part_of(parts_, nd)]->materialize({nd->local});
+      out.result.final_ids.push_back(result_store->intern(m).id);
+    }
+    out.result.store = std::move(result_store);
     out.result.checkpointed = checkpointed_;
     out.result.checkpoint_write_failures = ckpt_write_failures_;
     out.stats = stats_;
@@ -1035,21 +864,7 @@ class Coordinator {
       w.bytes_received = parts_[i].bytes_received;
       out.stats.frontier_msgs += parts_[i].frontier_sent;
       // The run's memory story is the sum of the partition stores.
-      const sched::StateStore::Stats& ss = parts_[i].store_stats;
-      sched::StateStore::Stats& t = out.result.store_stats;
-      t.states += ss.states;
-      t.warp_fragments += ss.warp_fragments;
-      t.bank_fragments += ss.bank_fragments;
-      t.resident_bytes += ss.resident_bytes;
-      t.materialized_bytes += ss.materialized_bytes;
-      t.spilled_bytes += ss.spilled_bytes;
-      t.hot_evictions += ss.hot_evictions;
-      t.spills += ss.spills;
-      t.rematerializations += ss.rematerializations;
-      t.delta_fragments += ss.delta_fragments;
-      t.bloom_negatives += ss.bloom_negatives;
-      t.bloom_false_positives += ss.bloom_false_positives;
-      t.degraded_spill += ss.degraded_spill;
+      out.result.store_stats += parts_[i].store_stats;
     }
     return out;
   }
@@ -1071,13 +886,13 @@ class Coordinator {
   const sem::Machine& initial_;
   const sched::ExploreOptions& opts_;
   const DistOptions& dopts_;
+  const sched::Budget budget_;  // the deadline clock starts here
   const std::uint64_t program_fp_;
   const std::uint64_t config_fp_;
 
   std::vector<Peer> peers_;
   std::vector<GraphPartMsg> parts_;
   DistStats stats_;
-  std::chrono::steady_clock::time_point t_start_;
 
   Gid root_;
   bool root_acked_ = false;

@@ -77,60 +77,6 @@ std::uint64_t get_u64(const char* p) {
 void encode_gid(BinWriter& w, Gid g) { w.u64(g.v); }
 Gid decode_gid(BinReader& r) { return Gid{r.u64()}; }
 
-void encode_node(BinWriter& w, const GraphPartMsg::Node& n) {
-  w.u32(n.local);
-  const std::uint8_t flags = static_cast<std::uint8_t>(
-      (n.processed ? 1 : 0) | (n.terminal ? 2 : 0) | (n.stuck ? 4 : 0));
-  w.u8(flags);
-  w.str(n.stuck_reason);
-  w.u64(n.edges.size());
-  for (const GraphPartMsg::Edge& e : n.edges) {
-    sched::codec::encode_choice(w, e.choice);
-    w.u8(static_cast<std::uint8_t>((e.faulted ? 1 : 0) |
-                                   (e.overflow ? 2 : 0)));
-    encode_gid(w, e.child);
-    w.str(e.fault);
-  }
-}
-
-GraphPartMsg::Node decode_node(BinReader& r) {
-  GraphPartMsg::Node n;
-  n.local = r.u32();
-  const std::uint8_t flags = r.u8();
-  if (flags > 7) throw BinError("bad node flags");
-  n.processed = (flags & 1) != 0 ? 1 : 0;
-  n.terminal = (flags & 2) != 0 ? 1 : 0;
-  n.stuck = (flags & 4) != 0 ? 1 : 0;
-  n.stuck_reason = r.str();
-  const std::uint64_t ne = r.count();
-  n.edges.reserve(ne);
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    GraphPartMsg::Edge e;
-    e.choice = sched::codec::decode_choice(r);
-    const std::uint8_t eflags = r.u8();
-    if (eflags > 3) throw BinError("bad edge flags");
-    e.faulted = (eflags & 1) != 0 ? 1 : 0;
-    e.overflow = (eflags & 2) != 0 ? 1 : 0;
-    e.child = decode_gid(r);
-    e.fault = r.str();
-    n.edges.push_back(std::move(e));
-  }
-  return n;
-}
-
-void encode_nodes(BinWriter& w, const std::vector<GraphPartMsg::Node>& ns) {
-  w.u64(ns.size());
-  for (const GraphPartMsg::Node& n : ns) encode_node(w, n);
-}
-
-std::vector<GraphPartMsg::Node> decode_nodes(BinReader& r) {
-  const std::uint64_t n = r.count();
-  std::vector<GraphPartMsg::Node> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_node(r));
-  return out;
-}
-
 }  // namespace
 
 std::string encode_frame(FrameType type, std::string_view payload) {
@@ -378,25 +324,15 @@ void GraphPartMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  encode_nodes(w, nodes);
+  sched::graph::encode_nodes(w, nodes, sched::graph::KeyWidth::k64);
   w.u64(owned);
   w.u64(frontier_sent);
   w.u64(resolves_sent);
   w.u64(bytes_sent);
   w.u64(bytes_received);
-  w.u64(store_stats.states);
-  w.u64(store_stats.warp_fragments);
-  w.u64(store_stats.bank_fragments);
-  w.u64(store_stats.resident_bytes);
-  w.u64(store_stats.materialized_bytes);
-  w.u64(store_stats.spilled_bytes);
-  w.u64(store_stats.hot_evictions);
-  w.u64(store_stats.spills);
-  w.u64(store_stats.rematerializations);
-  w.u64(store_stats.delta_fragments);
-  w.u64(store_stats.bloom_negatives);
-  w.u64(store_stats.bloom_false_positives);
-  w.u64(store_stats.degraded_spill);
+  for (const auto field : sched::StateStore::Stats::kCounters) {
+    w.u64(store_stats.*field);
+  }
 }
 
 GraphPartMsg GraphPartMsg::decode(BinReader& r) {
@@ -406,25 +342,15 @@ GraphPartMsg GraphPartMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in graph part");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = decode_nodes(r);
+  m.nodes = sched::graph::decode_nodes(r, sched::graph::KeyWidth::k64);
   m.owned = r.u64();
   m.frontier_sent = r.u64();
   m.resolves_sent = r.u64();
   m.bytes_sent = r.u64();
   m.bytes_received = r.u64();
-  m.store_stats.states = r.u64();
-  m.store_stats.warp_fragments = r.u64();
-  m.store_stats.bank_fragments = r.u64();
-  m.store_stats.resident_bytes = r.u64();
-  m.store_stats.materialized_bytes = r.u64();
-  m.store_stats.spilled_bytes = r.u64();
-  m.store_stats.hot_evictions = r.u64();
-  m.store_stats.spills = r.u64();
-  m.store_stats.rematerializations = r.u64();
-  m.store_stats.delta_fragments = r.u64();
-  m.store_stats.bloom_negatives = r.u64();
-  m.store_stats.bloom_false_positives = r.u64();
-  m.store_stats.degraded_spill = r.u64();
+  for (const auto field : sched::StateStore::Stats::kCounters) {
+    m.store_stats.*field = r.u64();
+  }
   return m;
 }
 
@@ -438,12 +364,8 @@ void WorkerCheckpointMsg::encode(BinWriter& w) const {
   w.u8(has_root);
   w.u32(root_local);
   w.str(store);
-  encode_nodes(w, nodes);
-  w.u64(frontier.size());
-  for (const auto& [local, depth] : frontier) {
-    w.u32(local);
-    w.u64(depth);
-  }
+  sched::graph::encode_nodes(w, nodes, sched::graph::KeyWidth::k64);
+  sched::graph::encode_frontier(w, frontier);
 }
 
 WorkerCheckpointMsg WorkerCheckpointMsg::decode(BinReader& r) {
@@ -461,14 +383,8 @@ WorkerCheckpointMsg WorkerCheckpointMsg::decode(BinReader& r) {
   if (m.has_root > 1) throw BinError("bad root flag in checkpoint");
   m.root_local = r.u32();
   m.store = r.str();
-  m.nodes = decode_nodes(r);
-  const std::uint64_t nf = r.count(12);  // u32 local + u64 depth
-  m.frontier.reserve(nf);
-  for (std::uint64_t i = 0; i < nf; ++i) {
-    const std::uint32_t local = r.u32();
-    const std::uint64_t depth = r.u64();
-    m.frontier.emplace_back(local, depth);
-  }
+  m.nodes = sched::graph::decode_nodes(r, sched::graph::KeyWidth::k64);
+  m.frontier = sched::graph::decode_frontier(r);
   return m;
 }
 

@@ -8,8 +8,9 @@
 // any frame byte is detected) followed by the payload, encoded with the same
 // support/binio.h codec the single-process checkpoint format uses.
 // Frame payloads that mention schedule choices or exploration options
-// reuse sched::codec (sched/checkpoint_codec.h) byte-for-byte, and
-// frontier states travel as StateStore::encode_state records, so the
+// reuse sched::codec (sched/checkpoint_codec.h) byte-for-byte, graph
+// nodes use the state-graph codec (sched/graph.h), and frontier
+// states travel as StateStore::encode_state records, so the
 // distributed layer introduces no second serialization of any sched
 // concept.
 //
@@ -30,6 +31,7 @@
 
 #include "sched/checkpoint.h"
 #include "sched/explore.h"
+#include "sched/graph.h"
 
 namespace cac::dist {
 
@@ -55,26 +57,10 @@ class DistError : public std::runtime_error {
 
 std::string to_string(DistError::Kind k);
 
-/// Global state id: (owning worker, that worker's StateId.v).  The
-/// distributed analogue of StateId — edges in the distributed state
-/// graph name children by Gid, so a graph part is meaningful outside
-/// the process that built it.
-struct Gid {
-  static constexpr std::uint64_t kInvalid = ~0ull;
-  std::uint64_t v = kInvalid;
-
-  static Gid make(std::uint32_t worker, std::uint32_t local) {
-    return Gid{(static_cast<std::uint64_t>(worker) << 32) | local};
-  }
-  [[nodiscard]] std::uint32_t worker() const {
-    return static_cast<std::uint32_t>(v >> 32);
-  }
-  [[nodiscard]] std::uint32_t local() const {
-    return static_cast<std::uint32_t>(v);
-  }
-  [[nodiscard]] bool valid() const { return v != kInvalid; }
-  friend bool operator==(const Gid&, const Gid&) = default;
-};
+/// Global state id: (owning worker, that worker's StateId.v) — the
+/// child key of the shared state graph (sched/graph.h), so a graph part
+/// is meaningful outside the process that built it.
+using Gid = sched::graph::Key;
 
 /// Which worker owns a state, by its memoized machine hash.  Same
 /// splitmix-finalized top bits as the in-process 64-way VisitedShards
@@ -309,26 +295,13 @@ struct CheckpointAckMsg {
   static CheckpointAckMsg decode(support::BinReader& r);
 };
 
-/// One worker's slice of the distributed state graph: node flags and
-/// Gid-valued edges (in eligible-choice order, exactly as the serial
-/// engine would enumerate them), the encoded partition StateStore the
-/// coordinator materializes finals from, and the worker's stats.
+/// One worker's slice of the distributed state graph: the shared node
+/// records (sched/graph.h) with Gid-keyed edges in eligible-choice
+/// order, the encoded partition StateStore the coordinator materializes
+/// finals from, and the worker's stats.
 struct GraphPartMsg {
-  struct Edge {
-    sem::Choice choice;
-    std::uint8_t faulted = 0;
-    std::uint8_t overflow = 0;
-    Gid child;  // invalid iff faulted or overflow
-    std::string fault;
-  };
-  struct Node {
-    std::uint32_t local = 0;  // StateId.v in the owner's store
-    std::uint8_t processed = 0;
-    std::uint8_t terminal = 0;
-    std::uint8_t stuck = 0;
-    std::string stuck_reason;
-    std::vector<Edge> edges;
-  };
+  using Node = sched::graph::Node;
+  using Edge = sched::graph::Edge;
 
   std::uint32_t worker = 0;
   std::uint8_t has_root = 0;
@@ -364,8 +337,7 @@ struct WorkerCheckpointMsg {
   std::uint32_t root_local = 0;
   std::string store;  // StateStore::encode bytes
   std::vector<GraphPartMsg::Node> nodes;
-  /// Discovered-but-unexpanded (StateId.v, depth) pairs.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> frontier;
+  sched::graph::Frontier frontier;
 
   void encode(support::BinWriter& w) const;
   static WorkerCheckpointMsg decode(support::BinReader& r);

@@ -13,7 +13,7 @@
 #include "dist/transport.h"
 #include "dist/wire.h"
 #include "sched/checkpoint.h"
-#include "sched/explore_internal.h"
+#include "sched/graph.h"
 #include "sched/state_store.h"
 #include "support/binio.h"
 
@@ -55,25 +55,12 @@ class Worker {
   }
 
  private:
-  /// One outgoing transition.  `pending` marks a remote child whose
-  /// kResolve has not arrived yet; quiescence guarantees none remain
-  /// by the time a checkpoint or graph part is serialized.
-  struct Edge {
-    sem::Choice choice;
-    bool faulted = false;
-    bool overflow = false;
-    bool pending = false;
-    std::string fault;
-    Gid child;
-  };
-  struct Node {
-    sched::StateId id;
-    bool processed = false;
-    bool terminal = false;
-    bool stuck = false;
-    std::string stuck_reason;
-    std::vector<Edge> edges;
-  };
+  // The live partition: shared graph records (sched/graph.h) whose
+  // edges name children by Gid.  A remote child's edge stays pending
+  // until its kResolve arrives; quiescence guarantees none remain by the
+  // time a checkpoint or graph part is serialized.
+  using Node = sched::graph::Node;
+  using Edge = sched::graph::Edge;
   struct Task {
     Node* node = nullptr;
     std::uint64_t depth = 0;
@@ -184,7 +171,6 @@ class Worker {
       store_ = std::make_unique<sched::StateStore>(store_options());
       mirror_ = std::make_unique<sched::StateStore>(store_options());
       nodes_.clear();
-      node_of_.clear();
       tasks_.clear();
       mirror_entries_.clear();
       has_root_ = false;
@@ -207,10 +193,8 @@ class Worker {
   }
 
   Node* add_node(sched::StateId id) {
-    nodes_.push_back(Node{});
-    Node* n = &nodes_.back();
-    n->id = id;
-    node_of_.emplace(id.v, n);
+    Node* n = &nodes_.emplace_back();
+    n->local = id.v;
     return n;
   }
 
@@ -271,7 +255,6 @@ class Worker {
   }
 
   static void patch(Edge& e, const MirrorEntry& entry) {
-    e.pending = false;
     if (entry.overflow) {
       e.overflow = true;
     } else {
@@ -306,143 +289,73 @@ class Worker {
     ack.owned = store_->size();
     // Report working-set memory: spilled segments are reclaimable page
     // cache, so the coordinator's fleet-RSS budget must not see them.
-    std::uint64_t rss = sched::current_rss_bytes();
-    const std::uint64_t spilled = store_->stats().spilled_bytes +
-                                  mirror_->stats().spilled_bytes;
-    rss = rss > spilled ? rss - spilled : 0;
-    ack.rss_bytes = rss;
+    ack.rss_bytes = sched::working_set_bytes(store_->stats().spilled_bytes +
+                                             mirror_->stats().spilled_bytes);
     send_msg(FrameType::kProbeAck, ack);
   }
 
-  /// Mirror of the in-process engine's expand()
-  /// (explore_parallel.cc): same classification, same eligible-choice
-  /// edge order, so the merged graph is the one the serial DFS would
-  /// build — with the single difference that a child hashing to a
+  /// The shared expansion step (graph::expand); a child hashing to a
   /// foreign partition is interned remotely via kState/kResolve.
   void expand(const Task& t) {
-    Node* node = t.node;
-    const sem::Machine state = store_->materialize(node->id);
-
-    if (sem::terminated(prg_, state.grid)) {
-      node->terminal = true;
-      node->processed = true;
-      return;
-    }
-    auto eligible = sem::eligible_choices(prg_, state.grid);
-    if (setup_.options.partial_order_reduction) {
-      sched::internal::reduce_choices(
-          prg_, state.grid, setup_.options.por_independent_pcs, eligible);
-    }
-    if (eligible.empty()) {
-      node->stuck = true;
-      node->stuck_reason = sem::stuck_reason(prg_, state.grid);
-      node->processed = true;
-      return;
-    }
-    if (t.depth >= setup_.options.max_depth) {
-      // Depth-gated: the coordinator's replay reports DepthExceeded
-      // when it reaches this unprocessed node, as the serial engine
-      // would.
-      return;
-    }
-
-    node->edges.reserve(eligible.size());
-    for (const sem::Choice& c : eligible) {
-      Edge e;
-      e.choice = c;
-      sem::Machine child(state);
-      const sem::StepResult sr = sem::apply_choice(
-          prg_, kc_, child, c, setup_.options.step_opts, nullptr);
-      if (!sr.ok()) {
-        e.faulted = true;
-        e.fault = sr.fault;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      const std::uint64_t h = child.hash();  // memoized pre-intern
-      const std::uint32_t owner = owner_of(h, setup_.n_workers);
-      if (owner == setup_.worker_index) {
-        // The expanding node seeds delta encoding, as in the
-        // in-process engines.
-        const auto r =
-            store_->intern(child, setup_.options.max_states, node->id);
-        if (!r.id.valid()) {
-          e.overflow = true;
-          node->edges.push_back(std::move(e));
-          continue;
-        }
-        e.child = Gid::make(setup_.worker_index, r.id.v);
-        node->edges.push_back(std::move(e));
-        if (r.inserted) {
-          Node* cn = add_node(r.id);
-          tasks_.push_back(Task{cn, t.depth + 1});
-          die_check();
-        }
-        continue;
-      }
-      // Foreign child: dedup through the mirror store so each distinct
-      // remote state is shipped (and resolved) exactly once.
-      const auto mr = mirror_->intern(child);
-      const auto edge_index =
-          static_cast<std::uint32_t>(node->edges.size());
-      if (mr.inserted) {
-        e.pending = true;
-        node->edges.push_back(std::move(e));
-        mirror_entries_[mr.id.v].waiters.emplace_back(node, edge_index);
-        BinWriter sw;
-        mirror_->encode_state(mr.id, sw);
-        StateMsg sm;
-        sm.target = owner;
-        sm.parent = Gid::make(setup_.worker_index, node->id.v);
-        sm.edge_index = edge_index;
-        sm.mirror_id = mr.id.v;
-        sm.depth = t.depth + 1;
-        sm.state = sw.take();
-        send_msg(FrameType::kState, sm);
-        ++sent_;
-        ++frontier_sent_;
-      } else {
-        MirrorEntry& entry = mirror_entries_[mr.id.v];
-        if (entry.resolved) {
-          patch(e, entry);
-          node->edges.push_back(std::move(e));
-        } else {
-          e.pending = true;
-          node->edges.push_back(std::move(e));
-          entry.waiters.emplace_back(node, edge_index);
-        }
-      }
-    }
-    node->processed = true;
+    Node& node = *t.node;
+    const sem::Machine state = store_->materialize({node.local});
+    sched::graph::expand(
+        prg_, kc_, setup_.options, state, t.depth, node,
+        [&](Edge& e, std::uint32_t edge_index, const sem::Machine& child) {
+          const std::uint64_t h = child.hash();  // memoized pre-intern
+          const std::uint32_t owner = owner_of(h, setup_.n_workers);
+          if (owner == setup_.worker_index) {
+            // The expanding node seeds delta encoding, as in the
+            // in-process engines.
+            const auto r = store_->intern(child, setup_.options.max_states,
+                                          {node.local});
+            if (!r.id.valid()) {
+              e.overflow = true;
+              return;
+            }
+            e.child = Gid::make(setup_.worker_index, r.id.v);
+            if (r.inserted) {
+              tasks_.push_back(Task{add_node(r.id), t.depth + 1});
+              die_check();
+            }
+            return;
+          }
+          // Foreign child: dedup through the mirror store so each
+          // distinct remote state is shipped (and resolved) exactly once.
+          const auto mr = mirror_->intern(child);
+          MirrorEntry& entry = mirror_entries_[mr.id.v];
+          if (entry.resolved) {
+            patch(e, entry);
+            return;
+          }
+          entry.waiters.emplace_back(&node, edge_index);
+          if (!mr.inserted) return;
+          BinWriter sw;
+          mirror_->encode_state(mr.id, sw);
+          StateMsg sm;
+          sm.target = owner;
+          sm.parent = Gid::make(setup_.worker_index, node.local);
+          sm.edge_index = edge_index;
+          sm.mirror_id = mr.id.v;
+          sm.depth = t.depth + 1;
+          sm.state = sw.take();
+          send_msg(FrameType::kState, sm);
+          ++sent_;
+          ++frontier_sent_;
+        });
   }
 
-  std::vector<GraphPartMsg::Node> snapshot_nodes() const {
-    std::vector<GraphPartMsg::Node> out;
-    out.reserve(nodes_.size());
+  /// The partition's node records, ready to serialize.
+  [[nodiscard]] std::vector<Node> snapshot() const {
     for (const Node& n : nodes_) {
-      GraphPartMsg::Node rec;
-      rec.local = n.id.v;
-      rec.processed = n.processed ? 1 : 0;
-      rec.terminal = n.terminal ? 1 : 0;
-      rec.stuck = n.stuck ? 1 : 0;
-      rec.stuck_reason = n.stuck_reason;
-      rec.edges.reserve(n.edges.size());
       for (const Edge& e : n.edges) {
-        if (e.pending) {
+        if (e.pending()) {
           protocol("serializing a graph with unresolved edges (the "
                    "coordinator skipped quiescence)");
         }
-        GraphPartMsg::Edge er;
-        er.choice = e.choice;
-        er.faulted = e.faulted ? 1 : 0;
-        er.overflow = e.overflow ? 1 : 0;
-        er.child = e.child;
-        er.fault = e.fault;
-        rec.edges.push_back(std::move(er));
       }
-      out.push_back(std::move(rec));
     }
-    return out;
+    return {nodes_.begin(), nodes_.end()};
   }
 
   void on_write_checkpoint(const WriteCheckpointMsg& m) {
@@ -461,10 +374,9 @@ class Worker {
       BinWriter sw;
       store_->encode(sw);
       ck.store = sw.take();
-      ck.nodes = snapshot_nodes();
-      ck.frontier.reserve(tasks_.size());
+      ck.nodes = snapshot();
       for (const Task& t : tasks_) {
-        ck.frontier.emplace_back(t.node->id.v, t.depth);
+        ck.frontier.emplace_back(t.node->local, t.depth);
       }
       BinWriter w;
       ck.encode(w);
@@ -489,7 +401,7 @@ class Worker {
     BinWriter sw;
     store_->encode(sw);
     part.store = sw.take();
-    part.nodes = snapshot_nodes();
+    part.nodes = snapshot();
     part.owned = store_->size();
     part.store_stats = store_->stats();
     part.frontier_sent = frontier_sent_;
@@ -537,28 +449,15 @@ class Worker {
       throw sched::CheckpointError(sched::CheckpointError::Kind::Corrupt,
                                    std::string(e.what()) + " in " + path);
     }
-    for (const GraphPartMsg::Node& rec : ck.nodes) {
-      Node* n = add_node(sched::StateId{rec.local});
-      n->processed = rec.processed != 0;
-      n->terminal = rec.terminal != 0;
-      n->stuck = rec.stuck != 0;
-      n->stuck_reason = rec.stuck_reason;
-      n->edges.reserve(rec.edges.size());
-      for (const GraphPartMsg::Edge& er : rec.edges) {
-        Edge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted != 0;
-        e.overflow = er.overflow != 0;
-        e.child = er.child;
-        e.fault = er.fault;
-        n->edges.push_back(std::move(e));
-      }
+    std::unordered_map<std::uint32_t, Node*> node_of;  // StateId.v -> node
+    for (Node& rec : ck.nodes) {
+      node_of.emplace(rec.local, &nodes_.emplace_back(std::move(rec)));
     }
     has_root_ = ck.has_root != 0;
     root_local_ = ck.root_local;
     for (const auto& [local, depth] : ck.frontier) {
-      const auto it = node_of_.find(local);
-      if (it == node_of_.end()) {
+      const auto it = node_of.find(local);
+      if (it == node_of.end()) {
         throw sched::CheckpointError(
             sched::CheckpointError::Kind::Corrupt,
             "frontier references unknown node in " + path);
@@ -583,8 +482,7 @@ class Worker {
   // (StateStore is not movable — it owns mutexes and a spill file).
   std::unique_ptr<sched::StateStore> store_;   // owned partition
   std::unique_ptr<sched::StateStore> mirror_;  // foreign-child dedup cache
-  std::deque<Node> nodes_;    // stable addresses, insertion order
-  std::unordered_map<std::uint32_t, Node*> node_of_;  // StateId.v -> node
+  std::deque<Node> nodes_;  // stable addresses, insertion order
   std::deque<Task> tasks_;
   std::unordered_map<std::uint32_t, MirrorEntry> mirror_entries_;
   bool has_root_ = false;

@@ -150,27 +150,8 @@ void encode_payload(BinWriter& w, const Checkpoint& ck) {
   }
 
   w.u32(ck.root.v);
-  w.u64(ck.nodes.size());
-  for (const Checkpoint::NodeRec& n : ck.nodes) {
-    w.u32(n.id.v);
-    w.u8(static_cast<std::uint8_t>((n.processed ? 1 : 0) |
-                                   (n.terminal ? 2 : 0) |
-                                   (n.stuck ? 4 : 0)));
-    w.str(n.stuck_reason);
-    w.u64(n.edges.size());
-    for (const Checkpoint::EdgeRec& e : n.edges) {
-      encode_choice(w, e.choice);
-      w.u8(static_cast<std::uint8_t>((e.faulted ? 1 : 0) |
-                                     (e.overflow ? 2 : 0)));
-      w.u32(e.child.v);
-      w.str(e.fault);
-    }
-  }
-  w.u64(ck.frontier.size());
-  for (const auto& [id, depth] : ck.frontier) {
-    w.u32(id.v);
-    w.u64(depth);
-  }
+  graph::encode_nodes(w, ck.nodes, graph::KeyWidth::k32);
+  graph::encode_frontier(w, ck.frontier);
 }
 
 Checkpoint decode_payload(BinReader& r) {
@@ -235,39 +216,8 @@ Checkpoint decode_payload(BinReader& r) {
   }
 
   ck.root = {r.u32()};
-  const std::uint64_t nn = r.count();
-  ck.nodes.reserve(nn);
-  for (std::uint64_t i = 0; i < nn; ++i) {
-    Checkpoint::NodeRec n;
-    n.id = {r.u32()};
-    const std::uint8_t flags = r.u8();
-    if (flags > 7) throw support::BinError("bad node flags");
-    n.processed = (flags & 1) != 0;
-    n.terminal = (flags & 2) != 0;
-    n.stuck = (flags & 4) != 0;
-    n.stuck_reason = r.str();
-    const std::uint64_t ne = r.count();
-    n.edges.reserve(ne);
-    for (std::uint64_t j = 0; j < ne; ++j) {
-      Checkpoint::EdgeRec e;
-      e.choice = decode_choice(r);
-      const std::uint8_t eflags = r.u8();
-      if (eflags > 3) throw support::BinError("bad edge flags");
-      e.faulted = (eflags & 1) != 0;
-      e.overflow = (eflags & 2) != 0;
-      e.child = {r.u32()};
-      e.fault = r.str();
-      n.edges.push_back(std::move(e));
-    }
-    ck.nodes.push_back(std::move(n));
-  }
-  const std::uint64_t nq = r.count(12);  // u32 id + u64 depth
-  ck.frontier.reserve(nq);
-  for (std::uint64_t i = 0; i < nq; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t depth = r.u64();
-    ck.frontier.emplace_back(StateId{id}, depth);
-  }
+  ck.nodes = graph::decode_nodes(r, graph::KeyWidth::k32);
+  ck.frontier = graph::decode_frontier(r);
   return ck;
 }
 
@@ -443,6 +393,11 @@ std::uint64_t current_rss_bytes() {
   if (got != 2) return 0;
   const long page = ::sysconf(_SC_PAGESIZE);
   return resident * static_cast<std::uint64_t>(page > 0 ? page : 4096);
+}
+
+std::uint64_t working_set_bytes(std::uint64_t spilled) {
+  const std::uint64_t rss = current_rss_bytes();
+  return rss > spilled ? rss - spilled : 0;
 }
 
 std::string to_string(CheckpointError::Kind k) {

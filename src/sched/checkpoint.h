@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sched/explore.h"
+#include "sched/graph.h"
 
 namespace cac::sched {
 
@@ -107,25 +108,9 @@ struct Checkpoint {
 
   // --- parallel graph section (engine == Parallel) -------------------
 
-  struct EdgeRec {
-    sem::Choice choice;
-    StateId child;  // invalid iff faulted or overflow
-    bool faulted = false;
-    bool overflow = false;
-    std::string fault;
-  };
-  struct NodeRec {
-    StateId id;
-    bool processed = false;
-    bool terminal = false;
-    bool stuck = false;
-    std::string stuck_reason;
-    std::vector<EdgeRec> edges;
-  };
   StateId root;
-  std::vector<NodeRec> nodes;
-  /// Discovered but not yet expanded (id, depth) pairs.
-  std::vector<std::pair<StateId, std::uint64_t>> frontier;
+  std::vector<graph::Node> nodes;
+  graph::Frontier frontier;
 
   /// Atomic write-then-rename to `path`; throws CheckpointError(Io).
   void save(const std::string& path) const;
@@ -151,5 +136,11 @@ void verify_resume(const Checkpoint& ck, Checkpoint::Engine want,
 /// measurement; /proc-based).  Returns 0 where unavailable, which
 /// disables the watermark rather than tripping it.
 std::uint64_t current_rss_bytes();
+
+/// current_rss_bytes() minus `spilled` store bytes — the working set a
+/// memory budget is checked against.  Spill segments are mmap'd page
+/// cache the kernel reclaims under pressure; counting them would mean
+/// spilling could never relieve a tripped limit.
+std::uint64_t working_set_bytes(std::uint64_t spilled);
 
 }  // namespace cac::sched

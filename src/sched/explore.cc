@@ -1,58 +1,15 @@
 #include "sched/explore.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
 
 #include "sched/checkpoint.h"
-#include "sched/explore_internal.h"
 #include "sched/explore_parallel.h"
+#include "sched/graph.h"
 
 namespace cac::sched {
-
-namespace internal {
-
-bool register_local(const ptx::Instr& i) {
-  return std::holds_alternative<ptx::INop>(i) ||
-         std::holds_alternative<ptx::IBop>(i) ||
-         std::holds_alternative<ptx::ITop>(i) ||
-         std::holds_alternative<ptx::IUop>(i) ||
-         std::holds_alternative<ptx::IMov>(i) ||
-         std::holds_alternative<ptx::ISetp>(i) ||
-         std::holds_alternative<ptx::ISelp>(i) ||
-         std::holds_alternative<ptx::IBra>(i) ||
-         std::holds_alternative<ptx::IPBra>(i) ||
-         std::holds_alternative<ptx::ISync>(i);
-}
-
-void reduce_choices(const ptx::Program& prg, const sem::Grid& g,
-                    const std::vector<std::uint32_t>& independent_pcs,
-                    std::vector<sem::Choice>& eligible) {
-  for (const sem::Choice& c : eligible) {
-    if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = g.blocks[c.block].warps[c.warp];
-    if (register_local(prg.fetch(w.pc()))) {
-      const sem::Choice keep = c;
-      eligible.assign(1, keep);
-      return;
-    }
-  }
-  if (independent_pcs.empty()) return;
-  for (const sem::Choice& c : eligible) {
-    if (c.kind != sem::Choice::Kind::ExecWarp) continue;
-    const sem::Warp& w = g.blocks[c.block].warps[c.warp];
-    if (std::binary_search(independent_pcs.begin(), independent_pcs.end(),
-                           w.pc())) {
-      const sem::Choice keep = c;
-      eligible.assign(1, keep);
-      return;
-    }
-  }
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -78,7 +35,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
   // across different paths and a hash collision cannot fake a visit.
   auto store = std::make_shared<StateStore>(store_options(opts));
   std::unordered_map<std::uint32_t, Color> colors;
-  internal::FinalsSet finals;
+  std::vector<StateId> finals;  // DFS first-visit order
 
   struct Frame {
     StateId id;
@@ -129,14 +86,10 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
       result.max_steps_to_termination =
           std::max<std::uint64_t>(result.max_steps_to_termination,
                                   path.size());
-      finals.insert(r.id);
+      finals.push_back(r.id);  // a fresh intern: never a duplicate
       return false;
     }
-    auto eligible = sem::eligible_choices(prg, m.grid);
-    if (opts.partial_order_reduction) {
-      internal::reduce_choices(prg, m.grid, opts.por_independent_pcs,
-                               eligible);
-    }
+    auto eligible = graph::branch_choices(prg, m.grid, opts);
     if (eligible.empty()) {
       colors.emplace(r.id.v, Color::Done);
       add_violation(Violation::Kind::Stuck,
@@ -173,7 +126,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
     result.limit_hit = resume->limit_hit;
     limits_hit = resume->limits_hit;
     result.violations = resume->violations;
-    for (const StateId id : resume->final_ids) finals.insert(id);
+    finals = resume->final_ids;
     colors.reserve(resume->colors.size());
     for (const auto& [id, color] : resume->colors) {
       colors.emplace(id, color == 0 ? Color::OnStack : Color::Done);
@@ -182,11 +135,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
     stack.reserve(resume->stack.size());
     for (const Checkpoint::SerialFrame& f : resume->stack) {
       sem::Machine m = store->materialize(f.id);
-      auto eligible = sem::eligible_choices(prg, m.grid);
-      if (opts.partial_order_reduction) {
-        internal::reduce_choices(prg, m.grid, opts.por_independent_pcs,
-                                 eligible);
-      }
+      auto eligible = graph::branch_choices(prg, m.grid, opts);
       if (f.next > eligible.size()) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "stack frame choice index out of range");
@@ -206,10 +155,8 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
   // The top of the DFS loop is a clean cut point: every structure
   // (stack, path, colors, finals, counters) is mutually consistent, so
   // that is where budgets are enforced and checkpoints written.
-  const auto t_start = std::chrono::steady_clock::now();
-  const bool budgeted = opts.stop_flag != nullptr ||
-                        opts.stop_after_states != 0 ||
-                        opts.deadline_ms != 0 || opts.mem_limit_bytes != 0;
+  const Budget budget(opts);
+  const bool budgeted = budget.armed();
   std::uint64_t next_checkpoint_at =
       (!opts.checkpoint_path.empty() && opts.checkpoint_every_states != 0)
           ? result.states_visited + opts.checkpoint_every_states
@@ -233,7 +180,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
     ck.max_steps = result.max_steps_to_termination;
     ck.limit_hit = result.limit_hit;
     ck.limits_hit = limits_hit;
-    ck.final_ids = finals.ids();
+    ck.final_ids = finals;
     ck.violations = result.violations;
     ck.colors.reserve(colors.size());
     for (const auto& [id, color] : colors) {
@@ -260,43 +207,16 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
     }
   };
 
-  // The cheap flags are polled every iteration (the fault harness
-  // relies on stop_after_states being exact); the clock and the /proc
-  // RSS read only every 64 states.
-  auto budget_tripped = [&]() -> ExploreResult::Limit {
-    if (opts.stop_flag != nullptr &&
-        opts.stop_flag->load(std::memory_order_relaxed)) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts.stop_after_states != 0 &&
-        result.states_visited >= opts.stop_after_states) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if ((iter & 0x3f) == 0) {
-      if (opts.deadline_ms != 0 &&
-          std::chrono::steady_clock::now() - t_start >=
-              std::chrono::milliseconds(opts.deadline_ms)) {
-        return ExploreResult::Limit::Deadline;
-      }
-      if (opts.mem_limit_bytes != 0) {
-        std::uint64_t rss = current_rss_bytes();
-        // Spilled segments are mmap'd page cache the kernel reclaims
-        // under pressure — they must not count against the budget, or
-        // spilling could never relieve a tripped limit.
-        const std::uint64_t spilled = store->stats().spilled_bytes;
-        rss = rss > spilled ? rss - spilled : 0;
-        if (rss != 0 && rss >= opts.mem_limit_bytes) {
-          return ExploreResult::Limit::MemLimit;
-        }
-      }
-    }
-    return ExploreResult::Limit::None;
-  };
-
   while (!stack.empty() && !should_stop()) {
     ++iter;
     if (budgeted) {
-      const ExploreResult::Limit stop = budget_tripped();
+      // The cheap flags are polled every iteration (the fault harness
+      // relies on stop_after_states being exact); the clock and the
+      // /proc RSS read only every 64.
+      const ExploreResult::Limit stop = budget.tripped(
+          result.states_visited,
+          [&] { return working_set_bytes(store->stats().spilled_bytes); },
+          (iter & 0x3f) == 0);
       if (stop != ExploreResult::Limit::None) {
         // Checkpoint first: the transient stop reason must not leak
         // into the file, or the resumed run could never report itself
@@ -342,7 +262,7 @@ ExploreResult explore(const ptx::Program& prg, const sem::KernelConfig& kc,
   if (result.min_steps_to_termination == ~0ull) {
     result.min_steps_to_termination = 0;
   }
-  result.final_ids = finals.take();
+  result.final_ids = std::move(finals);
   result.store_stats = store->stats();
   result.store = std::move(store);
   result.exhaustive = !limits_hit && stack.empty();

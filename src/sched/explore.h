@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -224,6 +225,56 @@ struct ExploreResult {
   [[nodiscard]] bool schedule_independent() const {
     return exhaustive && violations.empty() && final_ids.size() == 1;
   }
+};
+
+/// The resource budgets of ExploreOptions, checked in one fixed order by
+/// every engine (serial, parallel, distributed coordinator), each at its
+/// own polling cadence.  Construction starts the deadline clock.
+class Budget {
+ public:
+  explicit Budget(const ExploreOptions& o)
+      : o_(o), start_(std::chrono::steady_clock::now()) {}
+
+  /// Whether any budget is set; an unarmed run need never poll.
+  [[nodiscard]] bool armed() const {
+    return o_.stop_flag != nullptr || o_.stop_after_states != 0 ||
+           o_.deadline_ms != 0 || o_.mem_limit_bytes != 0;
+  }
+
+  /// The first budget that has tripped, or None: the stop flag, then
+  /// stop_after_states against `states`, then the deadline, then
+  /// mem_limit_bytes against `working_set_rss()` (resident bytes minus
+  /// reclaimable spill; 0 means unknown and never trips).  With
+  /// `poll_slow` false only the first two are checked, so a caller can
+  /// read the clock and /proc less often than it polls the flags.
+  template <typename Rss>
+  [[nodiscard]] ExploreResult::Limit tripped(std::uint64_t states,
+                                             Rss&& working_set_rss,
+                                             bool poll_slow = true) const {
+    using Limit = ExploreResult::Limit;
+    if (o_.stop_flag != nullptr &&
+        o_.stop_flag->load(std::memory_order_relaxed)) {
+      return Limit::Interrupted;
+    }
+    if (o_.stop_after_states != 0 && states >= o_.stop_after_states) {
+      return Limit::Interrupted;
+    }
+    if (!poll_slow) return Limit::None;
+    if (o_.deadline_ms != 0 &&
+        std::chrono::steady_clock::now() - start_ >=
+            std::chrono::milliseconds(o_.deadline_ms)) {
+      return Limit::Deadline;
+    }
+    if (o_.mem_limit_bytes != 0) {
+      const std::uint64_t rss = working_set_rss();
+      if (rss != 0 && rss >= o_.mem_limit_bytes) return Limit::MemLimit;
+    }
+    return Limit::None;
+  }
+
+ private:
+  const ExploreOptions& o_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Explore from `initial`, or — when `resume` is non-null — continue

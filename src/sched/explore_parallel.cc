@@ -13,52 +13,22 @@
 #include <vector>
 
 #include "sched/checkpoint.h"
-#include "sched/explore_internal.h"
+#include "sched/graph.h"
 #include "support/diag.h"
 
 namespace cac::sched {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Phase-1 state graph.
-//
-// Machine states live interned in the shared StateStore; nodes hold
-// only the StateId handle and live in per-shard deques (stable
-// addresses; grown only under the shard mutex).  After a node is
-// registered, its fields are written exclusively by the single worker
-// expanding it; the work-queue mutexes order that hand-off, and the
-// thread join orders the final reads by the replay.
+// Phase-1 state graph: graph::Node records (sched/graph.h).  Machine
+// states live interned in the shared StateStore; nodes hold only the
+// StateId and live in per-shard deques (stable addresses; grown only
+// under the shard mutex).  After a node is registered, its fields are
+// written exclusively by the single worker expanding it; the work-queue
+// mutexes order that hand-off, and the thread join orders the final
+// reads by the replay.
 
-struct Node;
-
-/// One outgoing transition.  Exactly one of the three outcomes holds:
-/// a child node (ok), a fault message (the child state is discarded,
-/// as in the serial engine), or `overflow` (the child was dropped
-/// because phase 1 reached the state cap).
-struct Edge {
-  sem::Choice choice;
-  Node* child = nullptr;
-  std::string fault;
-  bool faulted = false;
-  bool overflow = false;
-};
-
-struct Node {
-  StateId id;
-  /// Phase-1 expansion ran (terminal/stuck classified, edges built).
-  /// False for nodes discovered at depth >= max_depth, and for
-  /// frontier nodes of a budget-stopped (checkpointed) run.
-  bool processed = false;
-  bool terminal = false;
-  bool stuck = false;
-  std::string stuck_reason;
-  std::vector<Edge> edges;
-
-  // Replay-only scratch (single-threaded phase 2).
-  enum class Color : std::uint8_t { White, OnStack, Done };
-  Color color = Color::White;
-};
+using graph::Node;
 
 /// Sharded concurrent visited set over the interning StateStore.
 /// Shards are keyed by the memoized structural machine hash, so
@@ -91,22 +61,18 @@ class VisitedShards {
     }
     const auto [it, fresh] = s.node_of.try_emplace(r.id.v, nullptr);
     if (fresh) {
-      s.nodes.push_back(Node{});
-      Node* n = &s.nodes.back();
-      n->id = r.id;
-      it->second = n;
+      it->second = &s.nodes.emplace_back();
+      it->second->local = r.id.v;
     }
     return {it->second, fresh};
   }
 
   /// Resume path (single-threaded, before workers start): register a
-  /// node for a state that is already interned in the store.
-  Node* seed(StateId id, std::uint64_t hash) {
+  /// checkpointed node whose state is already interned in the store.
+  Node* seed(const Node& rec, std::uint64_t hash) {
     Shard& s = shards_[shard_of(hash)];
-    s.nodes.push_back(Node{});
-    Node* n = &s.nodes.back();
-    n->id = id;
-    s.node_of[id.v] = n;
+    Node* n = &s.nodes.emplace_back(rec);
+    s.node_of[rec.local] = n;
     return n;
   }
 
@@ -268,33 +234,21 @@ class GraphBuilder {
   Node* restore(const Checkpoint& ck) {
     std::unordered_map<std::uint32_t, Node*> by_id;
     by_id.reserve(ck.nodes.size());
-    for (const Checkpoint::NodeRec& nr : ck.nodes) {
-      Node* n = visited_.seed(nr.id, store_.machine_hash(nr.id));
-      n->processed = nr.processed;
-      n->terminal = nr.terminal;
-      n->stuck = nr.stuck;
-      n->stuck_reason = nr.stuck_reason;
-      by_id.emplace(nr.id.v, n);
+    for (const Node& rec : ck.nodes) {
+      by_id.emplace(rec.local,
+                    visited_.seed(rec, store_.machine_hash({rec.local})));
     }
-    const auto lookup = [&](StateId id) -> Node* {
-      const auto it = by_id.find(id.v);
+    const auto lookup = [&](std::uint32_t id) -> Node* {
+      const auto it = by_id.find(id);
       if (it == by_id.end()) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "graph references unknown node");
       }
       return it->second;
     };
-    for (const Checkpoint::NodeRec& nr : ck.nodes) {
-      Node* n = by_id.at(nr.id.v);
-      n->edges.reserve(nr.edges.size());
-      for (const Checkpoint::EdgeRec& er : nr.edges) {
-        Edge e;
-        e.choice = er.choice;
-        e.faulted = er.faulted;
-        e.overflow = er.overflow;
-        e.fault = er.fault;
-        if (er.child.valid()) e.child = lookup(er.child);
-        n->edges.push_back(std::move(e));
+    for (const auto& [id, n] : by_id) {
+      for (graph::Edge& e : n->edges) {
+        if (!e.faulted && !e.overflow) e.to = lookup(e.child.local());
       }
     }
     std::uint64_t k = 0;
@@ -302,7 +256,7 @@ class GraphBuilder {
       queues_[k++ % queues_.size()].push(Task{lookup(id), depth});
     }
     pending_.store(ck.frontier.size(), std::memory_order_relaxed);
-    return lookup(ck.root);
+    return lookup(ck.root.v);
   }
 
   void worker_loop(unsigned id) {
@@ -349,79 +303,41 @@ class GraphBuilder {
   void expand(unsigned id, const Task& t) {
     // Poisoned run: stop growing the graph so workers drain quickly.
     if (failed_.load(std::memory_order_relaxed)) return;
-    Node* node = t.node;
-    const sem::Machine state = store_.materialize(node->id);
-
-    if (sem::terminated(prg_, state.grid)) {
-      node->terminal = true;
-      node->processed = true;
-      return;
-    }
-    auto eligible = sem::eligible_choices(prg_, state.grid);
-    if (opts_.partial_order_reduction) {
-      internal::reduce_choices(prg_, state.grid, opts_.por_independent_pcs,
-                               eligible);
-    }
-    if (eligible.empty()) {
-      node->stuck = true;
-      node->stuck_reason = sem::stuck_reason(prg_, state.grid);
-      node->processed = true;
-      return;
-    }
-    if (t.depth >= opts_.max_depth) {
-      // Depth-gated: the replay reports DepthExceeded / limits-hit
-      // when it reaches this node, mirroring the serial engine.
-      return;
-    }
-
-    node->edges.reserve(eligible.size());
-    for (const sem::Choice& c : eligible) {
-      Edge e;
-      e.choice = c;
-      sem::Machine child(state);
-      const sem::StepResult sr =
-          sem::apply_choice(prg_, kc_, child, c, opts_.step_opts, nullptr);
-      if (!sr.ok()) {
-        e.faulted = true;
-        e.fault = sr.fault;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      const std::uint64_t h = child.hash();  // memoized pre-intern
-      const auto r = visited_.find_or_insert(child, h, node->id);
-      if (r.node == nullptr) {
-        e.overflow = true;
-        node->edges.push_back(std::move(e));
-        continue;
-      }
-      e.child = r.node;
-      node->edges.push_back(std::move(e));
-      if (r.inserted) {
-        pending_.fetch_add(1, std::memory_order_relaxed);
-        queues_[id].push(Task{r.node, t.depth + 1});
-      }
-    }
-    node->processed = true;
+    Node& node = *t.node;
+    const sem::Machine state = store_.materialize({node.local});
+    graph::expand(
+        prg_, kc_, opts_, state, t.depth, node,
+        [&](graph::Edge& e, std::uint32_t, const sem::Machine& child) {
+          // The expanding node seeds the store's delta encoding.
+          const auto r =
+              visited_.find_or_insert(child, child.hash(), {node.local});
+          if (r.node == nullptr) {
+            e.overflow = true;
+            return;
+          }
+          e.child = graph::Key::make(0, r.node->local);
+          e.to = r.node;
+          if (r.inserted) {
+            pending_.fetch_add(1, std::memory_order_relaxed);
+            queues_[id].push(Task{r.node, t.depth + 1});
+          }
+        });
   }
 
   /// Main-thread loop while workers run: waits for completion, and
   /// enforces budgets / periodic checkpoints when configured.
   void monitor(Outcome& out) {
     const unsigned n = static_cast<unsigned>(queues_.size());
-    const bool budgeted = opts_.stop_flag != nullptr ||
-                          opts_.stop_after_states != 0 ||
-                          opts_.deadline_ms != 0 ||
-                          opts_.mem_limit_bytes != 0;
+    const Budget budget(opts_);
     const bool periodic = !opts_.checkpoint_path.empty() &&
                           opts_.checkpoint_every_states != 0;
 
     std::unique_lock<std::mutex> lk(ctl_mu_);
-    if (!budgeted && !periodic) {
+    if (!budget.armed() && !periodic) {
       monitor_cv_.wait(lk, [&] { return exited_ == n; });
       return;
     }
 
-    const auto t_start = std::chrono::steady_clock::now();
     std::uint64_t next_checkpoint_at =
         periodic ? store_.size() + opts_.checkpoint_every_states : ~0ull;
 
@@ -430,7 +346,9 @@ class GraphBuilder {
                            [&] { return exited_ == n; });
       if (exited_ == n) return;
 
-      const ExploreResult::Limit stop = budget_tripped(t_start);
+      const ExploreResult::Limit stop = budget.tripped(store_.size(), [&] {
+        return working_set_bytes(store_.stats().spilled_bytes);
+      });
       if (stop != ExploreResult::Limit::None) {
         out.stopped = stop;
         mode_ = Mode::kStop;
@@ -451,35 +369,6 @@ class GraphBuilder {
     }
   }
 
-  [[nodiscard]] ExploreResult::Limit budget_tripped(
-      std::chrono::steady_clock::time_point t_start) const {
-    if (opts_.stop_flag != nullptr &&
-        opts_.stop_flag->load(std::memory_order_relaxed)) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts_.stop_after_states != 0 &&
-        store_.size() >= opts_.stop_after_states) {
-      return ExploreResult::Limit::Interrupted;
-    }
-    if (opts_.deadline_ms != 0 &&
-        std::chrono::steady_clock::now() - t_start >=
-            std::chrono::milliseconds(opts_.deadline_ms)) {
-      return ExploreResult::Limit::Deadline;
-    }
-    if (opts_.mem_limit_bytes != 0) {
-      std::uint64_t rss = current_rss_bytes();
-      // Spilled segments are reclaimable page cache, not working-set
-      // memory — exclude them or spilling could never relieve a
-      // tripped limit (see the serial engine's identical adjustment).
-      const std::uint64_t spilled = store_.stats().spilled_bytes;
-      rss = rss > spilled ? rss - spilled : 0;
-      if (rss != 0 && rss >= opts_.mem_limit_bytes) {
-        return ExploreResult::Limit::MemLimit;
-      }
-    }
-    return ExploreResult::Limit::None;
-  }
-
   /// Serialize graph + frontier + store.  Caller guarantees
   /// quiescence (pause protocol or post-join).
   void save_checkpoint() {
@@ -489,30 +378,12 @@ class GraphBuilder {
     ck.config_fp = config_fingerprint(kc_);
     ck.options = opts_;  // only structural fields are persisted
     ck.store = store_ptr_;
-    ck.root = root_ != nullptr ? root_->id : StateId{};
-    visited_.for_each([&](const Node& n) {
-      Checkpoint::NodeRec nr;
-      nr.id = n.id;
-      nr.processed = n.processed;
-      nr.terminal = n.terminal;
-      nr.stuck = n.stuck;
-      nr.stuck_reason = n.stuck_reason;
-      nr.edges.reserve(n.edges.size());
-      for (const Edge& e : n.edges) {
-        Checkpoint::EdgeRec er;
-        er.choice = e.choice;
-        er.child = e.child != nullptr ? e.child->id : StateId{};
-        er.faulted = e.faulted;
-        er.overflow = e.overflow;
-        er.fault = e.fault;
-        nr.edges.push_back(std::move(er));
-      }
-      ck.nodes.push_back(std::move(nr));
-    });
+    ck.root = root_ != nullptr ? StateId{root_->local} : StateId{};
+    visited_.for_each([&](const Node& n) { ck.nodes.push_back(n); });
     for (WorkQueue& q : queues_) {
       std::lock_guard<std::mutex> lock(q.mu);
       for (const Task& t : q.q) {
-        ck.frontier.emplace_back(t.node->id, t.depth);
+        ck.frontier.emplace_back(t.node->local, t.depth);
       }
     }
     try {
@@ -553,139 +424,6 @@ class GraphBuilder {
   unsigned exited_ = 0;
 };
 
-/// Phase 2: replay the serial DFS over the integer graph.  This is a
-/// line-for-line mirror of the loop in explore.cc — same enter()
-/// checks in the same order, same path bookkeeping — so the produced
-/// ExploreResult is byte-identical to the serial engine's for runs
-/// that stay within the limits.
-///
-/// `stop_reason` is None for completed graphs.  For a budget-stopped
-/// run the graph is incomplete: reaching an unexpanded node then
-/// reports the budget as the tripped limit (not MaxDepth), mirroring
-/// the serial engine's precise limit_hit on a graceful stop.
-ExploreResult replay(Node* root, const ExploreOptions& opts,
-                     ExploreResult::Limit stop_reason) {
-  ExploreResult result;
-  result.min_steps_to_termination = ~0ull;
-
-  internal::FinalsSet finals;
-  struct Frame {
-    Node* node;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  std::vector<sem::Choice> path;
-  std::uint64_t entered = 0;
-  bool limits_hit = false;
-
-  auto hit_limit = [&](ExploreResult::Limit l) {
-    limits_hit = true;
-    if (result.limit_hit == ExploreResult::Limit::None) result.limit_hit = l;
-  };
-
-  auto add_violation = [&](Violation::Kind kind, std::string msg) {
-    result.violations.push_back({kind, std::move(msg), path});
-  };
-
-  auto enter = [&](Node* nd) -> bool {
-    if (nd == nullptr) {  // overflow edge: phase 1 dropped the child
-      hit_limit(ExploreResult::Limit::MaxStates);
-      return false;
-    }
-    if (nd->color == Node::Color::OnStack) {
-      add_violation(Violation::Kind::Cycle,
-                    "schedule revisits an earlier state: a scheduler can "
-                    "loop forever");
-      return false;
-    }
-    if (nd->color == Node::Color::Done) return false;
-    if (entered >= opts.max_states) {
-      hit_limit(ExploreResult::Limit::MaxStates);
-      return false;
-    }
-    ++entered;
-    ++result.states_visited;
-
-    if (nd->terminal) {
-      nd->color = Node::Color::Done;
-      result.min_steps_to_termination =
-          std::min<std::uint64_t>(result.min_steps_to_termination,
-                                  path.size());
-      result.max_steps_to_termination =
-          std::max<std::uint64_t>(result.max_steps_to_termination,
-                                  path.size());
-      finals.insert(nd->id);
-      return false;
-    }
-    if (nd->stuck) {
-      nd->color = Node::Color::Done;
-      add_violation(Violation::Kind::Stuck, nd->stuck_reason);
-      return false;
-    }
-    if (!nd->processed) {
-      nd->color = Node::Color::Done;
-      if (stop_reason != ExploreResult::Limit::None) {
-        // Budget-stopped run: this node sits on the unexpanded
-        // frontier, not past the depth bound.
-        hit_limit(stop_reason);
-        return false;
-      }
-      // Phase 1 depth-gated this node.  When the replay path is also
-      // at the bound this is exactly the serial DepthExceeded event;
-      // otherwise (a shorter path reached it first here) we can only
-      // flag the run as non-exhaustive.
-      hit_limit(ExploreResult::Limit::MaxDepth);
-      if (path.size() >= opts.max_depth) {
-        add_violation(Violation::Kind::DepthExceeded,
-                      "path exceeded the exploration depth bound");
-      }
-      return false;
-    }
-    if (path.size() >= opts.max_depth) {
-      nd->color = Node::Color::Done;
-      hit_limit(ExploreResult::Limit::MaxDepth);
-      add_violation(Violation::Kind::DepthExceeded,
-                    "path exceeded the exploration depth bound");
-      return false;
-    }
-    nd->color = Node::Color::OnStack;
-    stack.push_back(Frame{nd, 0});
-    return true;
-  };
-
-  enter(root);
-
-  auto should_stop = [&] {
-    return opts.stop_at_first_violation && !result.violations.empty();
-  };
-
-  while (!stack.empty() && !should_stop()) {
-    Frame& top = stack.back();
-    if (top.next >= top.node->edges.size()) {
-      top.node->color = Node::Color::Done;
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const Edge& e = top.node->edges[top.next++];
-    ++result.transitions;
-    path.push_back(e.choice);
-    if (e.faulted) {
-      add_violation(Violation::Kind::Fault, e.fault);
-      path.pop_back();
-      continue;
-    }
-    if (!enter(e.overflow ? nullptr : e.child)) path.pop_back();
-  }
-
-  if (result.min_steps_to_termination == ~0ull) {
-    result.min_steps_to_termination = 0;
-  }
-  result.final_ids = finals.take();
-  result.exhaustive = !limits_hit && stack.empty();
-  return result;
-}
-
 }  // namespace
 
 ExploreResult explore_parallel(const ptx::Program& prg,
@@ -708,10 +446,13 @@ ExploreResult explore_parallel(const ptx::Program& prg,
 
   GraphBuilder builder(prg, kc, opts, store, n);
   // A null root means even the initial state was over the cap
-  // (max_states == 0); replay's enter(nullptr) turns that into the
-  // same empty, non-exhaustive result the serial engine reports.
+  // (max_states == 0); the replay turns that into the same empty,
+  // non-exhaustive result the serial engine reports.
   const GraphBuilder::Outcome out = builder.build(initial, resume);
-  ExploreResult result = replay(out.root, opts, out.stopped);
+  graph::Replay rp = graph::replay(out.root, opts, out.stopped);
+  ExploreResult result = std::move(rp.result);
+  result.final_ids.reserve(rp.finals.size());
+  for (const Node* n : rp.finals) result.final_ids.push_back({n->local});
   result.store_stats = store->stats();
   result.store = std::move(store);
   result.checkpointed = out.checkpointed;

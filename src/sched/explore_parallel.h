@@ -5,7 +5,8 @@
 //
 //  1. Graph construction (parallel).  Workers with per-worker task
 //     deques and work stealing expand each distinct reachable state
-//     exactly once — copy, step, hash — into an explicit state graph.
+//     exactly once — copy, step, hash — into an explicit state graph
+//     (graph::expand, sched/graph.h).
 //     The visited set is sharded by state hash; structural equality
 //     within a shard means a hash collision can never fake a visit.
 //     This phase carries all of the expensive per-state work (Machine
@@ -14,7 +15,8 @@
 //  2. Verdict replay (serial, integer-only).  The serial explorer's
 //     exact DFS — same choice order, same OnStack/Done coloring, same
 //     cycle/stuck/fault/depth bookkeeping — is replayed over the
-//     in-memory graph without touching machine states again.  Because
+//     in-memory graph without touching machine states again
+//     (graph::replay, shared with the distributed coordinator).  Because
 //     phase 1 builds the identical graph the serial DFS walks (state
 //     expansion is deterministic in the state), the replay reproduces
 //     the serial result byte for byte: exhaustive flag, violations and

@@ -907,6 +907,17 @@ std::uint64_t StateStore::machine_hash(StateId id) const {
   return s.hashes[local];
 }
 
+static_assert(sizeof(StateStore::Stats) == 13 * sizeof(std::uint64_t),
+              "list the new Stats field in Stats::kCounters");
+const std::array<std::uint64_t StateStore::Stats::*, 13>
+    StateStore::Stats::kCounters = {
+        &Stats::states, &Stats::warp_fragments, &Stats::bank_fragments,
+        &Stats::resident_bytes, &Stats::materialized_bytes,
+        &Stats::spilled_bytes, &Stats::hot_evictions, &Stats::spills,
+        &Stats::rematerializations, &Stats::delta_fragments,
+        &Stats::bloom_negatives, &Stats::bloom_false_positives,
+        &Stats::degraded_spill};
+
 StateStore::Stats StateStore::stats() const {
   Stats st;
   st.states = n_states_.load(std::memory_order_relaxed);

@@ -58,6 +58,7 @@
 // ever held at once (delta chains are resolved link by link).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -196,6 +197,18 @@ class StateStore {
     /// resident-only from that point — a capacity warning, never a
     /// verdict change.
     std::uint64_t degraded_spill = 0;
+
+    /// Every counter above, in declaration order.  operator+= sums them
+    /// (a distributed run totals its workers' stores) and
+    /// dist::GraphPartMsg puts them on the wire in this order, so a new
+    /// field goes here too — a static_assert in state_store.cc catches
+    /// a forgotten one (and the wire change needs a protocol bump).
+    static const std::array<std::uint64_t Stats::*, 13> kCounters;
+
+    Stats& operator+=(const Stats& o) {
+      for (const auto field : kCounters) this->*field += o.*field;
+      return *this;
+    }
 
     [[nodiscard]] double dedup_ratio() const {
       return resident_bytes == 0
