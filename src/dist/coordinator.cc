@@ -126,7 +126,6 @@ struct Peer {
   bool acked_round = false;
   bool have_part = false;
   bool ckpt_acked = false;
-  bool rb_acked = false;  // acked the current rollback epoch
 };
 
 class Coordinator {
@@ -240,10 +239,9 @@ class Coordinator {
 
   // --- fleet lifecycle ----------------------------------------------
 
-  /// Fork one worker process on a fresh socketpair.  Safe to call with
-  /// the rest of the fleet running (piecemeal recovery): the child
-  /// closes every parent-side fd it inherited, so it holds no handle
-  /// to any survivor's connection.
+  /// Fork one worker process on a fresh socketpair.  The child closes
+  /// every parent-side fd it inherited, so it holds no handle to an
+  /// earlier sibling's connection.
   void fork_one(std::uint32_t i) {
     auto [parent_end, child_end] = socket_pair();
     const pid_t pid = ::fork();
@@ -275,25 +273,6 @@ class Coordinator {
     }
   }
 
-  /// The identity/options frame for worker i.  The run's resident-byte
-  /// budget is divided evenly so the fleet's total matches what one
-  /// in-process store would be allowed.
-  [[nodiscard]] SetupMsg make_setup(std::uint32_t i) const {
-    SetupMsg s;
-    s.worker_index = i;
-    s.n_workers = dopts_.n_workers;
-    s.program_fp = program_fp_;
-    s.config_fp = config_fp_;
-    s.options = opts_;  // codec strips transient fields
-    s.checkpoint_base = opts_.checkpoint_path;
-    s.store_spill_dir = opts_.store_spill_dir;
-    s.store_resident_budget_bytes =
-        opts_.store_resident_budget_bytes / dopts_.n_workers;
-    s.store_bloom_bits = opts_.store_bloom_bits;
-    s.store_delta_depth = opts_.store_delta_depth;
-    return s;
-  }
-
   void launch() {
     peers_.clear();
     peers_.resize(dopts_.n_workers);
@@ -313,16 +292,25 @@ class Coordinator {
       }
     }
 
+    // The run's resident-byte budget is divided evenly so the fleet's
+    // total matches what one in-process store would be allowed.
+    SetupMsg s;
+    s.n_workers = dopts_.n_workers;
+    s.program_fp = program_fp_;
+    s.config_fp = config_fp_;
+    s.options = opts_;
+    s.options.store_resident_budget_bytes /= dopts_.n_workers;
+    s.checkpoint_base = opts_.checkpoint_path;
+    s.resume = resume_ ? 1 : 0;
+    s.resume_base = resume_base_;
+    s.generation = resume_gen_;
+    if (!die_cleared_) {
+      s.die_worker = dopts_.die_worker;
+      s.die_after_states = dopts_.die_after_states;
+      s.die_after_generation = dopts_.die_after_generation;
+    }
     for (std::uint32_t i = 0; i < dopts_.n_workers; ++i) {
-      SetupMsg s = make_setup(i);
-      s.resume = resume_ ? 1 : 0;
-      s.resume_base = resume_base_;
-      s.generation = resume_gen_;
-      if (!die_cleared_) {
-        s.die_worker = dopts_.die_worker;
-        s.die_after_states = dopts_.die_after_states;
-        s.die_after_generation = dopts_.die_after_generation;
-      }
+      s.worker_index = i;
       queue_msg(i, FrameType::kSetup, s);
     }
   }
@@ -415,14 +403,6 @@ class Coordinator {
   }
 
   void dispatch(std::uint32_t from, const Frame& f) {
-    if (rollback_awaiting_ > 0 && f.type != FrameType::kRollbackAck) {
-      // Recovery barrier: every in-flight frame predates the rollback
-      // and references discarded state — drop it.  The per-connection
-      // FIFO guarantees a worker's kRollbackAck is dispatched only
-      // after all of its stale frames were, so once the barrier opens
-      // no stale frame can remain buffered.
-      return;
-    }
     switch (f.type) {
       case FrameType::kState:
       case FrameType::kResolve: {
@@ -480,23 +460,6 @@ class Coordinator {
                     " failed to checkpoint: " + m.error);
           }
           peers_[from].ckpt_acked = true;
-          break;
-        }
-        case FrameType::kRollbackAck: {
-          const RollbackAckMsg m = RollbackAckMsg::decode(r);
-          if (m.worker != from || m.epoch != rollback_epoch_) {
-            throw DistError(DistError::Kind::Protocol,
-                            "rollback ack for the wrong worker or epoch");
-          }
-          if (m.ok == 0) {
-            // A survivor that cannot reload its generation file is as
-            // lost as the dead worker: escalate to a full relaunch.
-            throw WorkerDiedSignal{from};
-          }
-          if (!peers_[from].rb_acked) {
-            peers_[from].rb_acked = true;
-            --rollback_awaiting_;
-          }
           break;
         }
         case FrameType::kGraphPart: {
@@ -632,88 +595,12 @@ class Coordinator {
     checkpointed_ = true;
   }
 
-  // --- piecemeal recovery --------------------------------------------
-
-  /// Replace exactly the dead worker instead of relaunching the fleet.
-  /// Survivors roll back in-process to the last committed generation
-  /// (kRollback, a barrier during which every in-flight work frame is
-  /// discarded as stale), the dead partition is re-forked with a
-  /// resume setup, and the whole fleet re-enters the same cut a full
-  /// relaunch would — at the cost of one fork instead of n.
-  /// Preconditions (checked by the caller): fork mode, a committed
-  /// generation to roll back to, and the death surfaced in the main
-  /// expansion loop or its checkpoint barrier (deaths elsewhere —
-  /// dump, drain — unwind to the full relaunch path, whose simpler
-  /// invariants cover them).
-  void piecemeal_recover(std::uint32_t dead) {
-    if (dopts_.verbose) {
-      std::fprintf(stderr,
-                   "dist: worker %u died; piecemeal restart from "
-                   "generation %llu\n",
-                   dead, static_cast<unsigned long long>(committed_gen_));
-    }
-    // Reap the corpse.
-    Peer& d = peers_[dead];
-    if (d.pid > 0) {
-      ::kill(d.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(d.pid, &status, 0);
-      d.pid = -1;
-    }
-    d.fd.reset();
-    d.reader = FrameReader{};
-    d.have_part = false;
-
-    // Every queued outbound frame references pre-rollback state, and
-    // every cached ack carries pre-rollback counters.
-    for (Peer& p : peers_) {
-      p.outbuf = SendBuf{};
-      p.last_ack = ProbeAckMsg{};
-      p.acked_round = false;
-      p.rb_acked = false;
-    }
-
-    // Barrier: survivors reload the committed generation and park.
-    ++rollback_epoch_;
-    RollbackMsg rb;
-    rb.generation = committed_gen_;
-    rb.resume_base = opts_.checkpoint_path;
-    rb.epoch = rollback_epoch_;
-    rollback_awaiting_ = 0;
-    for (std::uint32_t i = 0; i < peers_.size(); ++i) {
-      if (i == dead) continue;
-      queue_msg(i, FrameType::kRollback, rb);
-      ++rollback_awaiting_;
-    }
-    while (rollback_awaiting_ > 0) pump(2);
-
-    // Replacement worker: resumes the dead partition's own generation
-    // file.  The die seam stays cleared so the relaunch survives.
-    fork_one(dead);
-    SetupMsg s = make_setup(dead);
-    s.resume = 1;
-    s.resume_base = opts_.checkpoint_path;
-    s.generation = committed_gen_;
-    queue_msg(dead, FrameType::kSetup, s);
-
-    // New epoch's work-frame ledger starts balanced at zero (survivors
-    // reset their counters with the rollback; the root is already
-    // interned in its owner's reloaded partition).
-    coord_sent_work_ = 0;
-    broadcast_control(FrameType::kResume);
-    reset_quiescence();
-    ++stats_.restarts;
-    ++stats_.piecemeal_restarts;
-    die_cleared_ = true;
-  }
-
   // --- run -----------------------------------------------------------
 
   DistResult run_once() {
     stopping_ = false;
     root_acked_ = resume_;  // a resumed run's root is known up front
     coord_sent_work_ = 0;
-    rollback_awaiting_ = 0;  // a full relaunch abandons any barrier
     parts_.assign(dopts_.n_workers, GraphPartMsg{});
     reset_quiescence();
     launch();
@@ -741,20 +628,7 @@ class Coordinator {
 
     Limit stop_reason = Limit::None;
     for (;;) {
-      try {
-        pump(2);
-      } catch (const WorkerDiedSignal& s) {
-        // A death in the main expansion loop with a committed
-        // generation recovers piecemeal; anything else (no generation
-        // yet, TCP mode, restart budget exhausted) unwinds to the
-        // full-relaunch handler in run().
-        if (!fork_mode() || committed_gen_ == 0 ||
-            stats_.restarts >= dopts_.max_restarts) {
-          throw;
-        }
-        piecemeal_recover(s.worker);
-        continue;
-      }
+      pump(2);
       // The fleet's budgets: states owned across all partitions, and
       // the coordinator's RSS plus every worker's reported working set.
       stop_reason = budget_.tripped(total_owned(), [&] {
@@ -772,18 +646,6 @@ class Coordinator {
       if (periodic && !ckpt_disabled_ && total_owned() >= next_ckpt_at) {
         try {
           write_generation();
-        } catch (const WorkerDiedSignal& s) {
-          // A death caught mid-barrier abandons the partial
-          // generation (its files are overwritten on the retry, the
-          // barrier's stale acks are dropped by the rollback guard in
-          // dispatch()); survivors roll back to the last committed
-          // generation exactly as for a death in the expansion loop.
-          if (!fork_mode() || committed_gen_ == 0 ||
-              stats_.restarts >= dopts_.max_restarts) {
-            throw;
-          }
-          piecemeal_recover(s.worker);
-          continue;
         } catch (const sched::CheckpointError& e) {
           // A full/failing disk on any worker (or under the manifest)
           // must not end the run: drop checkpointing, resume the
@@ -912,10 +774,6 @@ class Coordinator {
   std::uint64_t resume_gen_ = 0;
   std::uint64_t gen_ = 0;
   std::uint64_t committed_gen_ = 0;
-
-  // piecemeal recovery barrier
-  std::uint32_t rollback_epoch_ = 0;
-  std::uint32_t rollback_awaiting_ = 0;
 
   // probe machinery
   std::uint64_t probe_nonce_ = 0;

@@ -3,10 +3,10 @@
 // multi-host runs), seeds the root state to its hash owner, routes
 // frontier/resolve frames between workers (star topology), detects
 // global quiescence with a two-round probe protocol, drives coordinated
-// checkpoint generations, recovers from worker death — piecemeal when
-// possible (only the dead worker is re-forked; survivors roll back
-// in-process to the last committed generation), by relaunching the
-// whole fleet otherwise — and finally merges the
+// checkpoint generations, recovers from a fork-mode worker death by
+// relaunching the whole fleet (from the last committed generation when
+// there is one, from the root otherwise; a TCP-mode death is
+// DistError::PeerDied) — and finally merges the
 // per-worker graph parts and replays the serial DFS over them — the
 // same replay the in-process parallel engine uses, so the aggregated
 // ExploreResult is byte-identical to the serial engine's verdict.
@@ -44,7 +44,7 @@ struct DistOptions {
   /// checkpoint for generation >= this and been resumed.  The worker
   /// is only resumed after the coordinator commits the manifest, so a
   /// death behind this gate is guaranteed to find a committed
-  /// generation on disk — the precondition for piecemeal recovery.
+  /// generation on disk, and the relaunched fleet resumes from it.
   /// 0 = no gate.
   std::uint64_t die_after_generation = 0;
   /// Give up (DistError::PeerDied) after this many fleet relaunches.
@@ -65,11 +65,7 @@ struct DistStats {
   /// Total frontier states shipped across process boundaries
   /// (including the coordinator's root seed).
   std::uint64_t frontier_msgs = 0;
-  std::uint64_t restarts = 0;
-  /// Of `restarts`, how many replaced only the dead worker (survivors
-  /// rolled back in-process via kRollback) instead of relaunching the
-  /// whole fleet.
-  std::uint64_t piecemeal_restarts = 0;
+  std::uint64_t restarts = 0;  // fleet relaunches after a worker death
   std::uint64_t generations = 0;
   /// Transient transport faults absorbed by backoff (health signal:
   /// nonzero means the run survived flaky I/O, not that it failed).

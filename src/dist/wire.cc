@@ -1,8 +1,5 @@
 #include "dist/wire.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
 
 #include "sched/checkpoint_codec.h"
@@ -156,10 +153,10 @@ void SetupMsg::encode(BinWriter& w) const {
   w.u32(die_worker);
   w.u64(die_after_states);
   w.u64(die_after_generation);
-  w.str(store_spill_dir);
-  w.u64(store_resident_budget_bytes);
-  w.u64(store_bloom_bits);
-  w.u32(store_delta_depth);
+  w.str(options.store_spill_dir);
+  w.u64(options.store_resident_budget_bytes);
+  w.u64(options.store_bloom_bits);
+  w.u32(options.store_delta_depth);
 }
 
 SetupMsg SetupMsg::decode(BinReader& r) {
@@ -180,41 +177,10 @@ SetupMsg SetupMsg::decode(BinReader& r) {
   m.die_worker = r.u32();
   m.die_after_states = r.u64();
   m.die_after_generation = r.u64();
-  m.store_spill_dir = r.str();
-  m.store_resident_budget_bytes = r.u64();
-  m.store_bloom_bits = r.u64();
-  m.store_delta_depth = r.u32();
-  return m;
-}
-
-void RollbackMsg::encode(BinWriter& w) const {
-  w.u64(generation);
-  w.str(resume_base);
-  w.u32(epoch);
-}
-
-RollbackMsg RollbackMsg::decode(BinReader& r) {
-  RollbackMsg m;
-  m.generation = r.u64();
-  m.resume_base = r.str();
-  m.epoch = r.u32();
-  return m;
-}
-
-void RollbackAckMsg::encode(BinWriter& w) const {
-  w.u32(worker);
-  w.u32(epoch);
-  w.u8(ok);
-  w.str(error);
-}
-
-RollbackAckMsg RollbackAckMsg::decode(BinReader& r) {
-  RollbackAckMsg m;
-  m.worker = r.u32();
-  m.epoch = r.u32();
-  m.ok = r.u8();
-  if (m.ok > 1) throw BinError("bad ok flag in rollback ack");
-  m.error = r.str();
+  m.options.store_spill_dir = r.str();
+  m.options.store_resident_budget_bytes = r.u64();
+  m.options.store_bloom_bits = r.u64();
+  m.options.store_delta_depth = r.u32();
   return m;
 }
 
@@ -440,21 +406,10 @@ void write_frame_file(const std::string& path, FrameType type,
 
 Frame load_frame_file(const std::string& path, FrameType want) {
   std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw sched::CheckpointError(sched::CheckpointError::Kind::Io,
-                                   "cannot open " + path);
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    const bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err) {
-      throw sched::CheckpointError(sched::CheckpointError::Kind::Io,
-                                   "read error on " + path);
-    }
+  try {
+    bytes = support::read_file(path);
+  } catch (const support::IoError& e) {
+    throw sched::CheckpointError(sched::CheckpointError::Kind::Io, e.what());
   }
   try {
     FrameReader fr;

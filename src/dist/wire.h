@@ -92,11 +92,8 @@ enum class FrameType : std::uint8_t {
   // on-disk frames (never sent on a socket)
   kWorkerCheckpoint = 14,  // one worker's partition snapshot
   kManifest = 15,          // coordinator's generation commit record
-  // piecemeal recovery (docs/distributed.md): when one worker dies the
-  // survivors roll back in-process instead of the whole fleet being
-  // relaunched.
-  kRollback = 16,     // coordinator -> worker: reload generation g
-  kRollbackAck = 17,  // worker -> coordinator: rollback done
+  // 16 and 17 are unassigned: no peer sends them, and both peers reject
+  // them as unexpected frames.
   // verification-as-a-service (docs/serve.md): `cacval serve` and its
   // clients exchange UTF-8 JSON documents as frame payloads, reusing
   // this layer's checksummed length-prefixed framing verbatim.
@@ -112,7 +109,7 @@ enum class FrameType : std::uint8_t {
 // die_after_generation.  v3 added the
 // transient store-tier knobs to SetupMsg (they are not part of
 // codec::encode_options, which persists structural fields only) and
-// the kRollback/kRollbackAck recovery frames.
+// two recovery frames (types 16-17, now unassigned).
 constexpr std::uint8_t kProtoVersion = 5;
 constexpr std::size_t kFrameHeaderSize = 4 + 1 + 1 + 2 + 4 + 8;
 /// Upper bound on one payload: a graph part carries a whole partition,
@@ -161,7 +158,11 @@ struct SetupMsg {
   std::uint32_t n_workers = 1;
   std::uint64_t program_fp = 0;
   std::uint64_t config_fp = 0;
-  /// Structural option fields only (sched::codec::encode_options).
+  /// The structural fields (sched::codec::encode_options) plus the
+  /// four transient store-tier knobs (options.store_*), written
+  /// explicitly after die_after_generation.  The coordinator divides
+  /// the run's resident budget by n_workers so the fleet's total
+  /// matches the configured bound.
   sched::ExploreOptions options;
   /// Base path for this run's per-worker checkpoint files
   /// ("<base>.g<gen>.w<idx>"); empty disables checkpointing.
@@ -180,14 +181,6 @@ struct SetupMsg {
   /// written by this worker and the coordinator resumed it (0 = no
   /// gate); see DistOptions::die_after_generation.
   std::uint64_t die_after_generation = 0;
-  /// Transient store-tier knobs (sched::ExploreOptions::store_*).  Set
-  /// explicitly because codec::encode_options persists structural
-  /// fields only; the coordinator divides the run's resident budget by
-  /// n_workers so the fleet's total matches the configured bound.
-  std::string store_spill_dir;
-  std::uint64_t store_resident_budget_bytes = 0;
-  std::uint64_t store_bloom_bits = 0;
-  std::uint32_t store_delta_depth = 8;
 
   void encode(support::BinWriter& w) const;
   static SetupMsg decode(support::BinReader& r);
@@ -258,32 +251,6 @@ struct WriteCheckpointMsg {
 
   void encode(support::BinWriter& w) const;
   static WriteCheckpointMsg decode(support::BinReader& r);
-};
-
-/// Piecemeal recovery: a survivor discards its in-memory partition and
-/// reloads "<base>.g<gen>.w<idx>" — the same file a freshly forked
-/// replacement resumes from — so the whole fleet re-enters the last
-/// committed generation without being re-exec'd.
-struct RollbackMsg {
-  std::uint64_t generation = 0;
-  std::string resume_base;
-  /// Epoch counter for the recovery barrier: frames from before the
-  /// rollback are stale and the coordinator discards work frames until
-  /// every survivor acked this epoch.
-  std::uint32_t epoch = 0;
-
-  void encode(support::BinWriter& w) const;
-  static RollbackMsg decode(support::BinReader& r);
-};
-
-struct RollbackAckMsg {
-  std::uint32_t worker = 0;
-  std::uint32_t epoch = 0;
-  std::uint8_t ok = 0;
-  std::string error;
-
-  void encode(support::BinWriter& w) const;
-  static RollbackAckMsg decode(support::BinReader& r);
 };
 
 struct CheckpointAckMsg {

@@ -117,9 +117,6 @@ class Worker {
         case FrameType::kWriteCheckpoint:
           on_write_checkpoint(WriteCheckpointMsg::decode(r));
           break;
-        case FrameType::kRollback:
-          on_rollback(RollbackMsg::decode(r));
-          break;
         case FrameType::kDump:
           on_dump();
           break;
@@ -136,15 +133,6 @@ class Worker {
     }
   }
 
-  [[nodiscard]] sched::StoreOptions store_options() const {
-    sched::StoreOptions so;
-    so.spill_dir = setup_.store_spill_dir;
-    so.resident_budget_bytes = setup_.store_resident_budget_bytes;
-    so.bloom_bits_per_shard = setup_.store_bloom_bits;
-    so.delta_max_depth = setup_.store_delta_depth;
-    return so;
-  }
-
   void on_setup(SetupMsg m) {
     if (m.program_fp != sched::program_fingerprint(prg_) ||
         m.config_fp != sched::config_fingerprint(kc_)) {
@@ -154,42 +142,11 @@ class Worker {
     have_setup_ = true;
     // The mirror shares the tier knobs: a reduce-like kernel's foreign
     // children dominate a worker's footprint just like its owned ones.
-    store_ = std::make_unique<sched::StateStore>(store_options());
-    mirror_ = std::make_unique<sched::StateStore>(store_options());
+    store_ = std::make_unique<sched::StateStore>(
+        sched::store_options(setup_.options));
+    mirror_ = std::make_unique<sched::StateStore>(
+        sched::store_options(setup_.options));
     if (setup_.resume != 0) restore();
-  }
-
-  /// Piecemeal recovery: discard the in-memory partition and reload
-  /// the committed generation — the in-process equivalent of being
-  /// re-exec'd with a resume SetupMsg.  The worker parks (paused)
-  /// until the coordinator's barrier completes and kResume arrives.
-  void on_rollback(const RollbackMsg& m) {
-    RollbackAckMsg ack;
-    ack.worker = setup_.worker_index;
-    ack.epoch = m.epoch;
-    try {
-      store_ = std::make_unique<sched::StateStore>(store_options());
-      mirror_ = std::make_unique<sched::StateStore>(store_options());
-      nodes_.clear();
-      tasks_.clear();
-      mirror_entries_.clear();
-      has_root_ = false;
-      root_local_ = 0;
-      // The coordinator resets its work-frame ledger for the new
-      // epoch; restart ours to keep the quiescence counters balanced.
-      sent_ = 0;
-      processed_ = 0;
-      setup_.resume = 1;
-      setup_.resume_base = m.resume_base;
-      setup_.generation = m.generation;
-      restore();
-      paused_ = true;  // until the coordinator's post-barrier kResume
-      ack.ok = 1;
-    } catch (const std::exception& e) {
-      ack.ok = 0;
-      ack.error = e.what();
-    }
-    send_msg(FrameType::kRollbackAck, ack);
   }
 
   Node* add_node(sched::StateId id) {
@@ -207,7 +164,7 @@ class Worker {
         setup_.die_after_states != 0 &&
         store_->size() >= setup_.die_after_states &&
         ckpt_written_gen_ >= setup_.die_after_generation) {
-      // The generation gate makes the piecemeal drill deterministic:
+      // The generation gate makes the recovery drill deterministic:
       // die_check only runs while unpaused, and the coordinator
       // resumes the fleet strictly after committing the manifest, so
       // ckpt_written_gen_ >= G here implies generation G is committed.
@@ -478,8 +435,8 @@ class Worker {
   std::uint64_t ckpt_written_gen_ = 0;
   bool stop_ = false;
 
-  // Pointers so a kRollback can discard and rebuild them wholesale
-  // (StateStore is not movable — it owns mutexes and a spill file).
+  // Built by on_setup, whose frame carries the tier knobs (StateStore
+  // is not movable — it owns mutexes and a spill file).
   std::unique_ptr<sched::StateStore> store_;   // owned partition
   std::unique_ptr<sched::StateStore> mirror_;  // foreign-child dedup cache
   std::deque<Node> nodes_;  // stable addresses, insertion order

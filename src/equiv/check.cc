@@ -54,22 +54,6 @@ EquivResult check_equivalence(
     const check::ModelCheckOptions::explorer_type& explorer) {
   EquivResult out;
 
-  if (opts.mode == Mode::kLowering) {
-    // Legacy path-by-path check; its refutations are advisory
-    // (lowering disagreement), kept for compatibility.
-    const vcgen::ProofResult pr =
-        vcgen::prove_equivalent(a, b, kc, env, opts.sym);
-    out.threads = pr.threads;
-    out.paths = pr.paths;
-    out.obligations = pr.obligations;
-    out.detail = pr.detail;
-    out.failure = pr.failure;
-    out.verdict = pr.proved         ? EquivVerdict::kEquivalent
-                  : pr.inconclusive ? EquivVerdict::kInconclusive
-                                    : EquivVerdict::kNotEquivalent;
-    return out;
-  }
-
   TermArena& arena = *env.arena;
   Normalizer norm(arena, opts.normalize);
 

@@ -1,26 +1,15 @@
 // The equivalence checker driver — `cacval equiv`'s engine
 // (docs/equiv.md).
 //
-// Two modes:
-//
-//  * kLowering — the legacy vcgen::prove_equivalent check: identical
-//    path partitions, syntactically aligned stores.  Fast, and right
-//    for "did the mechanical lowering change anything" questions, but
-//    a mismatch there only means the *lowerings* differ, which is why
-//    its not-equivalent answers are advisory (they predate the replay
-//    rule below and are kept for compatibility).
-//
-//  * kNormalized (default) — the real checker for independently
-//    written kernel pairs: per-thread symbolic summaries from the same
-//    arena/environment, store values and guards normalized
-//    (equiv/normalize.h), path partitions erased into canonical
-//    guard->writes maps (equiv/align.h), maps compared structurally.
-//    On mismatch the counterexample search (equiv/cex.h) hunts for a
-//    concrete refutation; the verdict is
-//      - equivalent       when every map obligation discharges,
-//      - not-equivalent   ONLY with a replay-validated counterexample,
-//      - inconclusive     otherwise (normalizer incompleteness or an
-//                         exhausted search budget never refutes).
+// Per-thread symbolic summaries from the same arena/environment, store
+// values and guards normalized (equiv/normalize.h), path partitions
+// erased into canonical guard->writes maps (equiv/align.h), maps
+// compared structurally.  On mismatch the counterexample search
+// (equiv/cex.h) hunts for a concrete refutation; the verdict is
+//   - equivalent       when every map obligation discharges,
+//   - not-equivalent   ONLY with a replay-validated counterexample,
+//   - inconclusive     otherwise (normalizer incompleteness or an
+//                      exhausted search budget never refutes).
 #pragma once
 
 #include <cstdint>
@@ -34,16 +23,13 @@
 
 namespace cac::equiv {
 
-enum class Mode : std::uint8_t { kLowering, kNormalized };
-
 struct EquivOptions {
-  Mode mode = Mode::kNormalized;
-  /// kNormalized: run the term normalizer over values and guards.
-  /// Off, the mode still aligns guard partitions but only arena-level
+  /// Run the term normalizer over values and guards.  Off, the checker
+  /// still aligns guard partitions but only arena-level
   /// smart-constructor normalization applies.
   bool normalize = true;
-  /// kNormalized: search for a concrete counterexample on symbolic
-  /// mismatch.  Off, a mismatch is reported inconclusive.
+  /// Search for a concrete counterexample on symbolic mismatch.  Off,
+  /// a mismatch is reported inconclusive.
   bool counterexample = true;
   sym::SymExecOptions sym;  // structural path/step bounds
   CexOptions cex;           // transient search budgets
@@ -61,7 +47,7 @@ struct EquivResult {
   std::uint32_t threads = 0;
   std::size_t paths = 0;
   std::size_t obligations = 0;
-  /// Normalizer accounting (kNormalized only).
+  /// Normalizer accounting.
   std::uint64_t terms_normalized = 0;
   std::uint64_t rewrites = 0;
   /// Counterexample search accounting.

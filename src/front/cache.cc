@@ -116,12 +116,11 @@ std::string canonical(const EquivRequest& e) {
   // proved.
   put_u64(s, e.sym.max_steps);
   put_u64(s, e.sym.max_paths);
-  // Checker configuration is structural too: mode and the
-  // normalize/counterexample switches each change the verdict class a
-  // request can produce.  cex_inputs is a transient budget — excluded;
-  // the budget-exhausted inconclusive it could skew is never cached
-  // (see cacheable()).
-  put_str(s, e.mode);
+  // Checker configuration is structural too: the normalize and
+  // counterexample switches each change the verdict class a request
+  // can produce.  cex_inputs is a transient budget — excluded; the
+  // budget-exhausted inconclusive it could skew is never cached (see
+  // cacheable()).
   put_bool(s, e.normalize);
   put_bool(s, e.counterexample);
   return s;

@@ -252,14 +252,6 @@ Result run_equiv(const EquivRequest& req, const RunHooks& hooks) {
       pick_kernel(mod_b, req.kernel_b.empty() ? req.kernel : req.kernel_b);
 
   equiv::EquivOptions opts;
-  if (req.mode == "lowering") {
-    opts.mode = equiv::Mode::kLowering;
-  } else if (req.mode == "normalized" || req.mode.empty()) {
-    opts.mode = equiv::Mode::kNormalized;
-  } else {
-    throw sem::LaunchArgError("unknown equiv mode '" + req.mode +
-                         "' (expected 'normalized' or 'lowering')");
-  }
   opts.normalize = req.normalize;
   opts.counterexample = req.counterexample;
   opts.sym = req.sym;

@@ -105,14 +105,10 @@ struct EquivRequest {
   sem::LaunchSpec launch;
   bool insert_syncs = true;
   sym::SymExecOptions sym;  // path/step bounds for the symbolic engine
-  /// Checker mode: "normalized" (guard-alignment checker with term
-  /// normalization, the default) or "lowering" (the legacy
-  /// path-by-path vcgen::prove_equivalent).  Structural.
-  std::string mode = "normalized";
-  /// Normalized mode: run the term rewrite engine.  Structural.
+  /// Run the term rewrite engine.  Structural.
   bool normalize = true;
-  /// Normalized mode: search for a replay-validated counterexample on
-  /// symbolic mismatch.  Structural (it decides not-equivalent vs
+  /// Search for a replay-validated counterexample on symbolic
+  /// mismatch.  Structural (it decides not-equivalent vs
   /// inconclusive).
   bool counterexample = true;
   /// Counterexample search budget (input valuations examined).

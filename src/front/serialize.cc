@@ -241,8 +241,7 @@ void write_equiv(JsonWriter& w, const EquivRequest& e) {
       .key("max_steps").value(e.sym.max_steps)
       .key("max_paths").value(static_cast<std::uint64_t>(e.sym.max_paths))
       .end_obj();
-  w.key("mode").value(e.mode)
-      .key("normalize").value(e.normalize)
+  w.key("normalize").value(e.normalize)
       .key("counterexample").value(e.counterexample)
       .key("cex_inputs").value(e.cex_inputs);
   w.end_obj();
@@ -356,7 +355,6 @@ EquivRequest parse_equiv(const JsonValue& v) {
     e.sym.max_paths = static_cast<std::size_t>(
         sym->u64_or("max_paths", e.sym.max_paths));
   }
-  e.mode = v.str_or("mode", e.mode);
   e.normalize = v.bool_or("normalize", e.normalize);
   e.counterexample = v.bool_or("counterexample", e.counterexample);
   e.cex_inputs = v.u64_or("cex_inputs", e.cex_inputs);

@@ -270,21 +270,10 @@ void Checkpoint::save(const std::string& path) const {
 
 Checkpoint Checkpoint::load(const std::string& path) {
   std::string file;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw CheckpointError(CheckpointError::Kind::Io,
-                            "cannot open " + path);
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) file.append(buf, n);
-    const bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err) {
-      throw CheckpointError(CheckpointError::Kind::Io,
-                            "read error on " + path);
-    }
+  try {
+    file = support::read_file(path);
+  } catch (const support::IoError& e) {
+    throw CheckpointError(CheckpointError::Kind::Io, e.what());
   }
 
   if (file.size() < kHeaderSize) {

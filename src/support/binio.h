@@ -83,6 +83,9 @@ class BinReader {
 
   void bytes(void* out, std::size_t n) {
     need(n);
+    // memcpy requires non-null pointers even for n == 0, and an empty
+    // destination buffer (an empty vector's data()) may be null.
+    if (n == 0) return;
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }

@@ -1,9 +1,10 @@
 // Deterministic fault injection (docs/robustness.md).
 //
 // Every I/O choke point in the system — socket send/recv/connect/
-// accept in dist/transport, file open/write/rename in the checkpoint,
-// spill, verdict-cache and serve-journal paths (support/io.h), and the
-// serve job lifecycle — consults this seam before touching the kernel:
+// accept in dist/transport, file open/read/write/rename in the
+// checkpoint, frame-file, spill, verdict-cache and serve-journal paths
+// (support/io.h), and the serve job lifecycle — consults this seam
+// before touching the kernel:
 //
 //   if (int err = support::fault_check("write", path)) { errno = err; ... }
 //
@@ -21,7 +22,7 @@
 //   CAC_FAULT_PLAN="seed=42;op=write,path=*.ckpt,nth=3,err=ENOSPC;
 //                   op=send,every=5,err=EPIPE;op=recv,delay=50"
 //
-//   op=NAME      operation: write | rename | open | send | recv |
+//   op=NAME      operation: open | read | write | rename | send | recv |
 //                connect | accept (or * for any)
 //   path=GLOB    site label glob ('*' wildcards; default *)
 //   nth=N        fire exactly on the Nth matching call (1-based)

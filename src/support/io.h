@@ -1,6 +1,7 @@
 // Small file-I/O wrapper routing the durability-critical paths —
-// checkpoint save, verdict-cache persist, serve journal, frame files —
-// through the fault-injection seam (support/fault.h).  Two tiers:
+// checkpoint save and load, verdict-cache persist, serve journal, frame
+// files (manifests and generation files) — through the fault-injection
+// seam (support/fault.h).  Two write tiers:
 //
 //   write_file_atomic      throws IoError; callers that must react to
 //                          disk faults (checkpoint save) use this

@@ -314,18 +314,17 @@ TEST(DistExplore, WorkerDeathWithCheckpointRecovers) {
   }
 }
 
-TEST(DistExplore, WorkerDeathPiecemealRestartsOnlyTheDeadWorker) {
-  // With a committed generation on disk, recovery must take the
-  // piecemeal path: survivors roll back in-process (kRollback) while
-  // only the dead worker is re-forked.  The stats pin which path ran,
-  // and the verdict must still be byte-identical to serial.
+TEST(DistExplore, WorkerDeathAfterGenerationRelaunchesFromIt) {
+  // With generation 1 committed on disk, a worker death relaunches the
+  // whole fleet from that generation rather than from the root.  The
+  // verdict must still be byte-identical to serial.
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {8, 1, 1}, 4};
   const sem::Machine init = vecadd_machine(prg, kc, 8);
   const ExploreResult serial =
       sched::explore(prg, kc, init, ExploreOptions{});
 
-  const std::string base = testing::TempDir() + "dist_piecemeal." +
+  const std::string base = testing::TempDir() + "dist_relaunch_gen." +
                            std::to_string(::getpid());
   ExploreOptions opts;
   opts.checkpoint_path = base;
@@ -334,16 +333,15 @@ TEST(DistExplore, WorkerDeathPiecemealRestartsOnlyTheDeadWorker) {
   dopts.n_workers = 3;
   dopts.die_worker = 1;
   // Die on the first state owned after generation 1 commits: the
-  // generation gate is what guarantees the piecemeal precondition
-  // (committed_gen_ >= 1) regardless of scheduling, making this test
-  // deterministic under load.
+  // generation gate guarantees a committed generation to resume from
+  // regardless of scheduling, making this test deterministic under
+  // load.
   dopts.die_after_states = 1;
   dopts.die_after_generation = 1;
   const DistResult r = explore_distributed(prg, kc, init, opts, dopts);
-  expect_identical(serial, r.result, "after piecemeal recovery");
-  ASSERT_GE(r.stats.restarts, 1u);
-  EXPECT_GE(r.stats.piecemeal_restarts, 1u);
-  EXPECT_LE(r.stats.piecemeal_restarts, r.stats.restarts);
+  expect_identical(serial, r.result, "after relaunch from generation 1");
+  EXPECT_GE(r.stats.restarts, 1u);
+  EXPECT_GE(r.stats.generations, 1u);
 
   std::remove(base.c_str());
   for (std::uint64_t g = 1; g <= 32; ++g) {
@@ -354,9 +352,8 @@ TEST(DistExplore, WorkerDeathPiecemealRestartsOnlyTheDeadWorker) {
 }
 
 TEST(DistExplore, PreGenerationDeathFallsBackToFullRelaunch) {
-  // Death before any committed generation cannot roll survivors back
-  // (there is nothing to roll back to), so recovery must take the
-  // full-relaunch path and still reach the serial verdict.
+  // Death before any committed generation relaunches the fleet from
+  // the root, and the run must still reach the serial verdict.
   const ptx::Program prg = programs::vector_add_listing2();
   const sem::KernelConfig kc{{1, 1, 1}, {8, 1, 1}, 4};
   const sem::Machine init = vecadd_machine(prg, kc, 8);
@@ -371,7 +368,6 @@ TEST(DistExplore, PreGenerationDeathFallsBackToFullRelaunch) {
       explore_distributed(prg, kc, init, ExploreOptions{}, dopts);
   expect_identical(serial, r.result, "full relaunch");
   EXPECT_GE(r.stats.restarts, 1u);
-  EXPECT_EQ(r.stats.piecemeal_restarts, 0u);
 }
 
 TEST(DistExplore, TieredStoresMatchSerialAndReportStats) {

@@ -11,8 +11,10 @@
 
 #include <cstdio>
 #include <functional>
+#include <utility>
 
 #include "support/binio.h"
+#include "support/fault.h"
 
 namespace cac::dist {
 namespace {
@@ -422,6 +424,33 @@ TEST(DistFrameFile, DamagedFileRejected) {
   EXPECT_THROW((void)load_frame_file(path, FrameType::kManifest),
                sched::CheckpointError);
   std::remove(path.c_str());
+}
+
+TEST(DistFrameFile, ReadFaultIsTypedIo) {
+  // Manifest and generation-file loads read through the fault seam: an
+  // injected read error is a CheckpointError(Io), like a write error.
+  const std::string manifest =
+      testing::TempDir() + "dist_read_fault.ckpt";
+  const std::string gen_file = worker_checkpoint_path(manifest, 1, 0);
+  write_frame_file(manifest, FrameType::kManifest,
+                   encoded(sample_manifest()));
+  write_frame_file(gen_file, FrameType::kWorkerCheckpoint,
+                   encoded(sample_worker_checkpoint()));
+  ASSERT_NO_THROW((void)load_frame_file(manifest, FrameType::kManifest));
+
+  support::ScopedFaultPlan plan("op=read,path=*.ckpt*");
+  for (const auto& [path, type] :
+       {std::pair{manifest, FrameType::kManifest},
+        std::pair{gen_file, FrameType::kWorkerCheckpoint}}) {
+    try {
+      (void)load_frame_file(path, type);
+      ADD_FAILURE() << "an injected read fault did not reach " << path;
+    } catch (const sched::CheckpointError& e) {
+      EXPECT_EQ(e.kind(), sched::CheckpointError::Kind::Io) << e.what();
+    }
+  }
+  std::remove(manifest.c_str());
+  std::remove(gen_file.c_str());
 }
 
 }  // namespace

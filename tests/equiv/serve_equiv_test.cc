@@ -72,10 +72,6 @@ TEST(EquivCacheKey, StructuralKnobsChangeTheKey) {
       pair_request("guard_ref.ptx", "guard_offbyone.ptx");
   const CacheKey k = cache_key(Request{base});
 
-  EquivRequest mode = base;
-  mode.mode = "lowering";
-  EXPECT_NE(cache_key(Request{mode}).hex(), k.hex());
-
   EquivRequest nonorm = base;
   nonorm.normalize = false;
   EXPECT_NE(cache_key(Request{nonorm}).hex(), k.hex());

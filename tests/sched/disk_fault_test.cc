@@ -11,9 +11,12 @@
 //  * checkpoint write failure (open/write/rename): the run logs,
 //    keeps exploring to the same verdict, and counts the failure in
 //    ExploreResult::checkpoint_write_failures; a later unfaulted
-//    cadence then persists a loadable checkpoint.
+//    cadence then persists a loadable checkpoint;
+//  * checkpoint read failure: Checkpoint::load reads through the same
+//    seam and reports CheckpointError(Io).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -193,6 +196,29 @@ TEST(DiskFault, ParallelEngineSurvivesCheckpointFaults) {
   EXPECT_EQ(r.states_visited, clean.states_visited);
   EXPECT_EQ(r.transitions, clean.transitions);
   EXPECT_GE(r.checkpoint_write_failures, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint-read faults
+
+TEST(DiskFault, CheckpointReadFaultIsTypedIo) {
+  const Lattice w(5, 8);
+  const std::string path = testing::TempDir() + "/read_fault.ckpt";
+  ExploreOptions o;
+  o.stop_at_first_violation = false;
+  o.checkpoint_path = path;
+  o.checkpoint_every_states = 32;
+  ASSERT_TRUE(explore(w.prg, w.kc, w.init, o).checkpointed);
+  ASSERT_NO_THROW(Checkpoint::load(path));
+
+  support::ScopedFaultPlan plan("op=read,path=*.ckpt");
+  try {
+    (void)Checkpoint::load(path);
+    ADD_FAILURE() << "an injected read fault did not reach Checkpoint::load";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::Io) << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -23,8 +23,8 @@
 //   cacval dist-worker FILE.ptx [launch options] --dist-connect HOST:PORT
 //   cacval equiv  FILE_A.ptx FILE_B.ptx [--kernel K] [--kernel-b K2]
 //                 [--block ...] [--sym-steps N] [--sym-paths N]
-//                 [--mode normalized|lowering] [--no-normalize]
-//                 [--no-cex] [--cex-inputs N] [--format=json]
+//                 [--no-normalize] [--no-cex] [--cex-inputs N]
+//                 [--format=json]
 //   cacval equiv  --batch PAIRS.txt [shared flags as above]
 //                 (each line: FILE_A FILE_B [KERNEL [KERNEL_B]];
 //                  '#' comments; one Result per pair, worst exit code)
@@ -151,7 +151,6 @@ struct Options {
   /// Symbolic bounds (equiv).
   sym::SymExecOptions sym;
   /// Equiv checker configuration (docs/equiv.md).
-  std::string eq_mode = "normalized";
   bool eq_normalize = true;
   bool eq_cex = true;
   std::uint64_t cex_inputs = 256;
@@ -305,7 +304,6 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--no-sync-insertion") o.insert_syncs = false;
     else if (a == "--sym-steps") o.sym.max_steps = parse_u64(next());
     else if (a == "--sym-paths") o.sym.max_paths = parse_u64(next());
-    else if (a == "--mode") o.eq_mode = next();
     else if (a == "--no-normalize") o.eq_normalize = false;
     else if (a == "--no-cex") o.eq_cex = false;
     else if (a == "--cex-inputs") o.cex_inputs = parse_u64(next());
@@ -397,7 +395,6 @@ front::EquivRequest make_equiv_request(const Options& o) {
   r.launch = o.launch;
   r.insert_syncs = o.insert_syncs;
   r.sym = o.sym;
-  r.mode = o.eq_mode;
   r.normalize = o.eq_normalize;
   r.counterexample = o.eq_cex;
   r.cex_inputs = o.cex_inputs;
@@ -548,12 +545,11 @@ dist::DistOptions make_dist_options(const Options& o) {
 
 void print_dist_stats(const dist::DistStats& s) {
   std::printf("distributed: %zu workers, %llu frontier msgs, "
-              "skew %.2f, %llu restarts (%llu piecemeal), "
+              "skew %.2f, %llu restarts, "
               "%llu checkpoint generations\n",
               s.workers.size(),
               static_cast<unsigned long long>(s.frontier_msgs), s.skew(),
               static_cast<unsigned long long>(s.restarts),
-              static_cast<unsigned long long>(s.piecemeal_restarts),
               static_cast<unsigned long long>(s.generations));
   if (s.send_retries != 0 || s.connect_retries != 0) {
     std::printf("  transport: %llu send retries, %llu connect retries\n",
