@@ -24,7 +24,7 @@ struct Reg {
   friend bool operator==(const Reg&, const Reg&) = default;
   friend auto operator<=>(const Reg&, const Reg&) = default;
 
-  /// Packed key used by the register file map.
+  /// Packed key the register file (sem::RegFile) is sorted by.
   [[nodiscard]] std::uint32_t key() const {
     return (static_cast<std::uint32_t>(cls) << 24) |
            (static_cast<std::uint32_t>(width) << 16) | index;

@@ -30,27 +30,19 @@ constexpr std::uint32_t kChainWalkCap = 512;
 // worth the chain hop it costs on every rematerialization.
 constexpr std::size_t kDeltaSlack = 16;
 
-/// Heap footprint estimate of one warp fragment: the divergence tree
-/// plus each thread's register/predicate maps (std::map nodes estimated
-/// at red-black-node granularity).  Used for the resident-vs-full-copy
-/// accounting only — never for dedup decisions.
+/// Heap footprint of one warp fragment: the divergence tree plus each
+/// thread's flat register and predicate entries.  Used for the
+/// resident-vs-full-copy accounting only — never for dedup decisions.
 std::uint64_t warp_deep_bytes(const sem::Warp& w) {
   std::uint64_t n = sizeof(sem::Warp);
   if (w.divergent()) {
     return n + warp_deep_bytes(w.left()) + warp_deep_bytes(w.right());
   }
-  constexpr std::uint64_t kMapNode = 48;  // ptr x3 + color + key/value
   n += w.threads().capacity() * sizeof(sem::Thread);
   for (const sem::Thread& t : w.threads()) {
-    n += (t.rho.written_count() + t.phi.written_count()) * kMapNode;
+    n += t.rho.heap_bytes() + t.phi.heap_bytes();
   }
   return n;
-}
-
-std::uint64_t warp_hash(const sem::Warp& w) {
-  Hasher h;
-  w.mix_hash(h);
-  return h.value();
 }
 
 std::string encode_warp(const sem::Warp& w) {
@@ -308,7 +300,10 @@ sem::Warp StateStore::warp_value(std::uint32_t id) const {
 
 StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
                                          std::uint32_t base_id) {
-  const std::uint64_t h = warp_hash(w);
+  // Memoized on the warp: a child machine's untouched warps carry their
+  // parent's hash, so only the stepped warp is hashed.  Filled here,
+  // before the hot-tier copy below is published to other threads.
+  const std::uint64_t h = w.hash();
   const std::uint64_t masked = h & hash_mask_;
   const std::uint32_t shard_no =
       static_cast<std::uint32_t>(masked) & kFragShardMask;

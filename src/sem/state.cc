@@ -27,6 +27,13 @@ std::uint64_t Machine::hash() const {
   });
 }
 
+void Machine::invalidate_hash() const {
+  hash_cache.invalidate();
+  for (const Block& b : grid.blocks) {
+    for (const Warp& w : b.warps) w.invalidate_hash();
+  }
+}
+
 Grid generate_grid(const KernelConfig& kc) {
   Grid g;
   g.blocks.resize(kc.num_blocks());

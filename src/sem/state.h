@@ -30,13 +30,16 @@ struct Grid {
 
 /// The full machine configuration <gamma, mu> of Fig. 3.
 ///
-/// hash() is memoized: by design the only mutator of a Machine is the
+/// hash() is memoized, and so is each root warp's fragment hash
+/// (Warp::hash).  By design the only mutator of a Machine is the
 /// semantics kernel (sem::apply_choice, src/sem/step.cc), which
-/// invalidates the cache on every transition; Memory additionally
-/// tracks its own cache through its mutators.  Code that mutates
-/// `grid` or `memory` directly — tests, hypothetical checkers — must
-/// call invalidate_hash() afterwards or hash() may return a stale
-/// value (operator== is unaffected; it compares real state only).
+/// invalidates the machine's cache and the memos of the warps it
+/// changes on every transition; Memory additionally tracks its own
+/// cache through its mutators.  Code that mutates `grid` or `memory`
+/// directly — tests, hypothetical checkers — must call
+/// invalidate_hash() afterwards, which drops the machine's cache and
+/// every warp memo, or a hash may be stale (operator== is unaffected;
+/// it compares real state only).
 struct Machine {
   Grid grid;
   mem::Memory memory;
@@ -50,7 +53,7 @@ struct Machine {
     return a.grid == b.grid && a.memory == b.memory;
   }
   [[nodiscard]] std::uint64_t hash() const;
-  void invalidate_hash() const { hash_cache.invalidate(); }
+  void invalidate_hash() const;
 };
 
 /// The paper's `generate_grid kc`: spawn grid_size blocks of block_size

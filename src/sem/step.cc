@@ -667,8 +667,10 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
   }
   // Every rule below mutates the machine, so the memoized state hash
   // is stale from here on.  (Memory invalidates its own cache through
-  // its mutators; this covers the grid side and the combined hash.)
-  m.invalidate_hash();
+  // its mutators; this covers the combined hash.)  Of the warp memos,
+  // only those of the warps a rule changes are dropped: a child
+  // machine keeps its parent's fragment hashes for the rest.
+  m.hash_cache.invalidate();
   Block& blk = m.grid.blocks[c.block];
   if (c.kind == Choice::Kind::ExecWarp) {
     if (c.warp >= blk.warps.size()) {
@@ -680,13 +682,19 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
       throw KernelError("ExecWarp choice is not eligible (warp at " +
                         ptx::to_string(i) + ")");
     }
-    return step_warp(prg, kc, c.block, w, m.memory, opts, events);
+    // After the step: sync may replace the warp by a moved subtree.
+    const StepResult r = step_warp(prg, kc, c.block, w, m.memory, opts, events);
+    w.invalidate_hash();
+    return r;
   }
   // lift-bar: all warps uniform at Bar -> commit Shared, advance pcs.
   if (!block_at_barrier(prg, blk)) {
     throw KernelError("LiftBar choice is not eligible");
   }
-  for (Warp& w : blk.warps) w.set_uni_pc(w.uni_pc() + 1);
+  for (Warp& w : blk.warps) {
+    w.set_uni_pc(w.uni_pc() + 1);
+    w.invalidate_hash();
+  }
   m.memory.commit_shared(c.block);
   return {};
 }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,40 +22,66 @@ namespace cac::sem {
 /// never-written registers are reported to the caller (the semantics
 /// kernel turns them into uninitialized-read diagnostics) and read as
 /// zero, which matches the all-zero launch state of a register file.
+///
+/// Stored flat: one contiguous vector of (Reg::key(), bits) entries
+/// sorted by key, so a copy is one allocation plus a memcpy, equality
+/// is one memcmp, and hashing and encoding walk the entries in key
+/// order (the order the stored hashes and checkpoint bytes are
+/// defined by).
 class RegFile {
  public:
   [[nodiscard]] std::uint64_t read(const ptx::Reg& r) const;
   [[nodiscard]] std::optional<std::uint64_t> read_opt(const ptx::Reg& r) const;
   void write(const ptx::Reg& r, std::uint64_t value);
-  [[nodiscard]] std::size_t written_count() const { return values_.size(); }
+  [[nodiscard]] std::size_t written_count() const { return entries_.size(); }
+  /// Heap bytes a copy holds: copies allocate exactly the entries
+  /// (store footprint accounting).
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return entries_.size() * sizeof(Entry);
+  }
 
-  friend bool operator==(const RegFile&, const RegFile&) = default;
+  friend bool operator==(const RegFile& a, const RegFile& b);
   void mix_hash(Hasher& h) const;
 
   /// Checkpoint codec (sched/checkpoint.h).  decode throws
-  /// support::BinError on malformed input.
+  /// support::BinError on malformed input, including keys that are not
+  /// strictly increasing.
   void encode(support::BinWriter& w) const;
   static RegFile decode(support::BinReader& r);
 
  private:
-  std::map<std::uint32_t, std::uint64_t> values_;  // Reg::key() -> bits
+  struct Entry {
+    std::uint32_t key;      // Reg::key()
+    std::uint32_t pad = 0;  // always zero: entries compare by memcmp
+    std::uint64_t bits;
+  };
+  std::vector<Entry> entries_;  // strictly increasing keys
 };
 
-/// The predicate state φ : N -> B.
+/// The predicate state φ : N -> B, flat like RegFile: (index, bool)
+/// entries sorted by index.
 class PredState {
  public:
   [[nodiscard]] bool read(const ptx::Pred& p) const;
   void write(const ptx::Pred& p, bool value);
-  [[nodiscard]] std::size_t written_count() const { return values_.size(); }
+  [[nodiscard]] std::size_t written_count() const { return entries_.size(); }
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return entries_.size() * sizeof(Entry);
+  }
 
-  friend bool operator==(const PredState&, const PredState&) = default;
+  friend bool operator==(const PredState& a, const PredState& b);
   void mix_hash(Hasher& h) const;
 
   void encode(support::BinWriter& w) const;
   static PredState decode(support::BinReader& r);
 
  private:
-  std::map<std::uint16_t, bool> values_;
+  struct Entry {
+    std::uint16_t key;     // Pred::index
+    std::uint8_t value;    // 0 or 1
+    std::uint8_t pad = 0;  // always zero: entries compare by memcmp
+  };
+  std::vector<Entry> entries_;  // strictly increasing keys
 };
 
 struct Thread {

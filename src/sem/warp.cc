@@ -13,6 +13,7 @@ Warp& Warp::operator=(const Warp& other) {
   threads_ = other.threads_;
   left_ = other.left_ ? std::make_unique<Warp>(*other.left_) : nullptr;
   right_ = other.right_ ? std::make_unique<Warp>(*other.right_) : nullptr;
+  hash_cache_ = other.hash_cache_;
   return *this;
 }
 
@@ -82,6 +83,14 @@ void Warp::mix_hash(Hasher& h) const {
   h.mix(pc_);
   h.mix(threads_.size());
   for (const Thread& t : threads_) t.mix_hash(h);
+}
+
+std::uint64_t Warp::hash() const {
+  return hash_cache_.get_or([&] {
+    Hasher h;
+    mix_hash(h);
+    return h.value();
+  });
 }
 
 void Warp::encode(support::BinWriter& w) const {

@@ -66,6 +66,18 @@ class Warp {
   bool operator==(const Warp& other) const;
   void mix_hash(Hasher& h) const;
 
+  /// The fragment hash: mix_hash over a fresh Hasher, memoized.  The
+  /// state store keys warp fragments by it (sched/state_store.h).
+  /// Mutators do not invalidate the memo themselves: the semantics
+  /// kernel (sem::apply_choice) invalidates exactly the warps a
+  /// transition changes, and Machine::invalidate_hash() every warp of
+  /// a machine; code that mutates a warp in place otherwise calls
+  /// invalidate_hash() before hashing it again.  Excluded from ==;
+  /// copies carry it.  Not synchronized (HashCache): a warp shared
+  /// between threads is hashed before it is published.
+  [[nodiscard]] std::uint64_t hash() const;
+  void invalidate_hash() const { hash_cache_.invalidate(); }
+
   /// Checkpoint codec (sched/checkpoint.h): the divergence tree as a
   /// tagged preorder.  decode throws support::BinError on malformed
   /// input, including trees deeper than a warp could ever diverge.
@@ -80,6 +92,7 @@ class Warp {
   ThreadVec threads_;
   std::unique_ptr<Warp> left_;
   std::unique_ptr<Warp> right_;
+  HashCache hash_cache_;
 };
 
 /// The reconvergence function of Fig. 2.  Applied by the Sync rule to

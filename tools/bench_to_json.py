@@ -14,9 +14,11 @@ one snapshot (each record keeps a `binary` field naming its source).
 The snapshot keeps the benchmark context (host, CPU count, build
 flags), the per-benchmark timings and counters, and the git revision,
 so successive PRs accumulate a comparable perf trajectory in-repo.
-Derived convenience fields: for every BM_ExploreVectorSum instance the
-speedup over the matching serial (threads=0) instance with the same
-por/warps arguments is computed into `speedup_vs_serial`; every
+Derived convenience fields: for every instance with a `threads:N`
+(N > 0) name argument, such as BM_ExploreVectorSum and
+BM_StateStoreFootprint, the speedup over the serial `threads:0`
+instance of the same family with the same other name arguments is
+computed into `speedup_vs_serial`; every
 BM_StateStoreFootprint instance's interning counters are summarized
 into a top-level `state_store` section, every BM_Checkpoint* /
 BM_ResumeFromCheckpoint instance's counters land in a `checkpoint`
@@ -91,15 +93,39 @@ def run_benchmark(binary: Path, extra_args: list[str]) -> tuple[dict, int]:
     return json.loads(out[start:]), peak_rss
 
 
+def name_args(name: str) -> tuple[str, dict[str, str]]:
+    """Split a google-benchmark instance name such as
+    `BM_ExploreVectorSum/threads:2/por:0/warps:3/real_time` into its
+    family and its `key:value` arguments."""
+    family, *parts = name.split("/")
+    args = {}
+    for part in parts:
+        key, sep, value = part.partition(":")
+        if sep:
+            args[key] = value
+    return family, args
+
+
 def add_speedups(benchmarks: list[dict]) -> None:
-    """Annotate parallel explore runs with speedup over matching serial."""
+    """Annotate each parallel instance (a `threads:N` name argument with
+    N > 0) with its speedup over the serial `threads:0` instance of the
+    same family and the same other name arguments.  The join reads the
+    name, not google-benchmark's built-in `threads` field, which every
+    benchmark carries."""
+    def join_key(b: dict) -> tuple[tuple, str | None]:
+        family, args = name_args(b.get("name", ""))
+        threads = args.pop("threads", None)
+        return (family, tuple(sorted(args.items()))), threads
+
     serial = {}
     for b in benchmarks:
-        if b.get("threads") == 0 and "real_time" in b:
-            serial[(b.get("por"), b.get("warps"))] = b["real_time"]
+        key, threads = join_key(b)
+        if threads == "0" and b.get("real_time"):
+            serial[key] = b["real_time"]
     for b in benchmarks:
-        base = serial.get((b.get("por"), b.get("warps")))
-        if base and b.get("threads", 0) > 0 and b.get("real_time"):
+        key, threads = join_key(b)
+        base = serial.get(key)
+        if base and threads not in (None, "0") and b.get("real_time"):
             b["speedup_vs_serial"] = round(base / b["real_time"], 3)
 
 
