@@ -18,6 +18,7 @@ std::string to_string(DistError::Kind k) {
   switch (k) {
     case DistError::Kind::Io: return "io";
     case DistError::Kind::Corrupt: return "corrupt";
+    case DistError::Kind::VersionMismatch: return "version-mismatch";
     case DistError::Kind::Protocol: return "protocol";
     case DistError::Kind::PeerDied: return "peer-died";
     case DistError::Kind::Timeout: return "timeout";
@@ -112,17 +113,17 @@ std::optional<Frame> FrameReader::next() {
   if (std::memcmp(h, kMagic, sizeof(kMagic)) != 0) {
     corrupt("bad frame magic");
   }
+  // The type and reserved fields are this version's; a frame of
+  // another version is judged by its checksum alone (below).
   const auto version = static_cast<std::uint8_t>(h[4]);
-  if (version != kProtoVersion) {
-    corrupt("frame protocol version " + std::to_string(version) +
-            ", this build speaks " + std::to_string(kProtoVersion));
-  }
   const auto type = static_cast<std::uint8_t>(h[5]);
-  if (type < static_cast<std::uint8_t>(FrameType::kSetup) ||
-      type > static_cast<std::uint8_t>(FrameType::kServeEvent)) {
-    corrupt("unknown frame type " + std::to_string(type));
+  if (version == kProtoVersion) {
+    if (type < static_cast<std::uint8_t>(FrameType::kSetup) ||
+        type > static_cast<std::uint8_t>(FrameType::kServeEvent)) {
+      corrupt("unknown frame type " + std::to_string(type));
+    }
+    if (get_u16(h + 6) != 0) corrupt("nonzero reserved frame field");
   }
-  if (get_u16(h + 6) != 0) corrupt("nonzero reserved frame field");
   const std::uint64_t len = get_u32(h + 8);
   if (len > kMaxFramePayload) corrupt("frame payload length over cap");
   if (buf_.size() - pos_ - kFrameHeaderSize < len) return std::nullopt;
@@ -131,6 +132,14 @@ std::optional<Frame> FrameReader::next() {
   const std::uint64_t want =
       fnv1a(payload.data(), payload.size(), fnv1a(h, 12));
   if (want != get_u64(h + 12)) corrupt("frame checksum mismatch");
+  // Checked after the checksum, so that a damaged version byte is
+  // reported as damage and only an intact foreign frame as skew.
+  if (version != kProtoVersion) {
+    throw DistError(DistError::Kind::VersionMismatch,
+                    "frame protocol version " + std::to_string(version) +
+                        ", this build speaks " +
+                        std::to_string(kProtoVersion));
+  }
   Frame f;
   f.type = static_cast<FrameType>(type);
   f.payload.assign(payload);
@@ -384,7 +393,7 @@ void encode_machine_as_state(const sem::Machine& m, BinWriter& w) {
   w.u64(m.grid.blocks.size());
   for (const sem::Block& b : m.grid.blocks) {
     w.u64(b.warps.size());
-    for (const sem::Warp& warp : b.warps) warp.encode(w);
+    for (const sem::WarpRef& warp : b.warps) warp->encode(w);
   }
   const auto& shared = m.memory.shared_bank_refs();
   w.u64(shared.size());
@@ -424,8 +433,11 @@ Frame load_frame_file(const std::string& path, FrameType want) {
     }
     return std::move(*f);
   } catch (const DistError& e) {
-    throw sched::CheckpointError(sched::CheckpointError::Kind::Corrupt,
-                                 std::string(e.what()) + " in " + path);
+    throw sched::CheckpointError(
+        e.kind() == DistError::Kind::VersionMismatch
+            ? sched::CheckpointError::Kind::VersionMismatch
+            : sched::CheckpointError::Kind::Corrupt,
+        std::string(e.what()) + " in " + path);
   }
 }
 

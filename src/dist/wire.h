@@ -41,6 +41,7 @@ class DistError : public std::runtime_error {
   enum class Kind : std::uint8_t {
     Io,        // socket / file syscall failure
     Corrupt,   // malformed frame: bad magic, checksum, truncation
+    VersionMismatch,  // intact frame of another protocol version
     Protocol,  // well-formed frame that violates the protocol state
     PeerDied,  // a peer process vanished and recovery is exhausted
     Timeout,   // a deadline expired waiting on a peer (retryable)
@@ -102,6 +103,9 @@ enum class FrameType : std::uint8_t {
   kServeEvent = 20,     // server -> client: streamed progress event
 };
 
+// v6: state hashes (kState records, graph parts, worker checkpoints,
+// and the owner_of partition) are Machine::hash() composed from the
+// warp fragment hashes; the byte layout is v5's.
 // v5: GraphPartMsg store stats carry degraded_spill (the worker's
 // spill tier failed and it degraded to resident-only).  v4 added the
 // kServeRequest/kServeResponse/kServeEvent frames
@@ -110,7 +114,7 @@ enum class FrameType : std::uint8_t {
 // transient store-tier knobs to SetupMsg (they are not part of
 // codec::encode_options, which persists structural fields only) and
 // two recovery frames (types 16-17, now unassigned).
-constexpr std::uint8_t kProtoVersion = 5;
+constexpr std::uint8_t kProtoVersion = 6;
 constexpr std::size_t kFrameHeaderSize = 4 + 1 + 1 + 2 + 4 + 8;
 /// Upper bound on one payload: a graph part carries a whole partition,
 /// so the cap is generous — it exists to reject length lies, not to
@@ -128,8 +132,10 @@ std::string encode_frame(FrameType type, std::string_view payload);
 /// Incremental frame parser over a byte stream.  feed() appends raw
 /// bytes; next() yields the next complete, checksum-verified frame or
 /// nullopt when more bytes are needed.  Throws DistError(Corrupt) on
-/// bad magic / version / reserved bytes, an implausible length, or a
-/// checksum mismatch — the stream is then poisoned and must be
+/// bad magic / type / reserved bytes, an implausible length, or a
+/// checksum mismatch, and DistError(VersionMismatch) on an intact frame
+/// (its checksum holds) of another protocol version — a damaged
+/// version byte is Corrupt.  The stream is then poisoned and must be
 /// discarded.
 class FrameReader {
  public:

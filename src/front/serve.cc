@@ -130,6 +130,9 @@ struct Server::Job {
   std::condition_variable cv;
   bool done = false;
   bool ok = false;
+  /// Admission found the verdict in the cache: `entry` holds it and
+  /// nothing runs.
+  bool cached = false;
   /// A worker has dequeued the job (it can no longer be reaped).
   bool running = false;
   /// Connections currently blocked on this job.  When the last one
@@ -387,10 +390,6 @@ std::string Server::handle_request(int fd, std::mutex& write_mu,
     ++stats_.requests;
   }
 
-  if (std::optional<VerdictCache::Entry> hit = cache_.get(key)) {
-    return make_response(true, key, elapsed_us(t0), *hit);
-  }
-
   const std::uint64_t progress_every = doc.u64_or("progress", 0);
   ProgressSub sub;
   if (progress_every != 0) {
@@ -417,6 +416,7 @@ std::string Server::handle_request(int fd, std::mutex& write_mu,
     ++stats_.shed_requests;
     return make_busy(error);
   }
+  if (job->cached) return make_response(true, key, elapsed_us(t0), job->entry);
 
   {
     JsonWriter w;
@@ -494,6 +494,18 @@ Server::JobPtr Server::admit(const Request& req, const CacheKey& key,
   JobPtr job;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // The cache first, under mu_: a job puts its verdict in the cache
+    // before it leaves inflight_ (under mu_), so a request finds a job
+    // for its key either in flight or cached, never neither.
+    if (!recovered) {
+      if (std::optional<VerdictCache::Entry> hit = cache_.get(key)) {
+        job = std::make_shared<Job>();
+        job->key = key;
+        job->entry = std::move(*hit);
+        job->done = job->ok = job->cached = true;
+        return job;
+      }
+    }
     const auto it = inflight_.find(key.hex());
     if (it != inflight_.end()) {
       ++stats_.jobs_deduped;
@@ -796,8 +808,10 @@ SubmitOutcome submit_with_retry(
           if (attempt >= attempts) throw;
           ++out.reconnects;
           continue;
-        default:
-          throw;  // Corrupt/Protocol: a bug, not a transient
+        case dist::DistError::Kind::Corrupt:
+        case dist::DistError::Kind::Protocol:
+        case dist::DistError::Kind::VersionMismatch:
+          throw;  // a bug or a build skew, not a transient
       }
     }
     if (out.reply.doc.str_or("status", "") == "busy" && attempt < attempts) {

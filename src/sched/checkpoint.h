@@ -65,10 +65,12 @@ std::string to_string(CheckpointError::Kind k);
 /// One snapshot of an in-flight exploration.  Engines construct and
 /// consume these; save()/load() move them to and from disk.
 struct Checkpoint {
-  // v3: the embedded store payload carries tier metadata (per-warp-rec
-  // hash/base/depth prefix for delta chains); v2 files are rejected
-  // with VersionMismatch rather than misdecoded.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  // v4: stored state hashes are Machine::hash() composed from the warp
+  // fragment hashes (the bytes are laid out as in v3).  v3: the
+  // embedded store payload carries tier metadata (per-warp-rec
+  // hash/base/depth prefix for delta chains).  Older files are
+  // rejected with VersionMismatch rather than misdecoded.
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   enum class Engine : std::uint8_t { Serial = 0, Parallel = 1 };
   Engine engine = Engine::Serial;

@@ -41,7 +41,7 @@ std::vector<sem::Choice> branch_choices(const ptx::Program& prg,
     return std::find_if(eligible.begin(), eligible.end(),
                         [&](const sem::Choice& c) {
                           return c.kind == sem::Choice::Kind::ExecWarp &&
-                                 pred(g.blocks[c.block].warps[c.warp].pc());
+                                 pred(g.blocks[c.block].warps[c.warp]->pc());
                         });
   };
   const std::vector<std::uint32_t>& indep = opts.por_independent_pcs;

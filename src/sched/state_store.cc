@@ -282,7 +282,7 @@ std::string StateStore::warp_canonical_bytes(std::uint32_t id,
   return bytes;
 }
 
-sem::Warp StateStore::warp_value(std::uint32_t id) const {
+sem::WarpRef StateStore::warp_value(std::uint32_t id) const {
   WarpShard& s = warp_shards_[id & kFragShardMask];
   {
     std::lock_guard<std::mutex> lock(s.mu);
@@ -290,32 +290,38 @@ sem::Warp StateStore::warp_value(std::uint32_t id) const {
     if (local >= s.recs.size()) throw KernelError("unknown warp fragment");
     WarpRec& rec = s.recs[local];
     touch_locked(s, rec);
-    if (rec.hot) return *rec.hot;  // deep copy out of the hot tier
+    if (rec.hot) return rec.hot;  // shared; a mutator clones it first
   }
   const std::string bytes = warp_canonical_bytes(id);
   remats_.fetch_add(1, std::memory_order_relaxed);
   support::BinReader r(bytes);
-  return sem::Warp::decode(r);
+  return std::make_shared<sem::Warp>(sem::Warp::decode(r));
 }
 
-StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
+StateStore::Frag StateStore::intern_warp(const sem::WarpRef& w,
                                          std::uint32_t base_id) {
-  // Memoized on the warp: a child machine's untouched warps carry their
-  // parent's hash, so only the stepped warp is hashed.  Filled here,
-  // before the hot-tier copy below is published to other threads.
-  const std::uint64_t h = w.hash();
+  // Memoized on the warp (thread-safely): a child machine shares its
+  // parent's untouched warps, memos included, so only the stepped warp
+  // is hashed.
+  const std::uint64_t h = w->hash();
   const std::uint64_t masked = h & hash_mask_;
   const std::uint32_t shard_no =
       static_cast<std::uint32_t>(masked) & kFragShardMask;
-  const std::uint64_t deep = warp_deep_bytes(w);
+  const std::uint64_t deep = warp_deep_bytes(*w);
   WarpShard& s = warp_shards_[shard_no];
+  // Pointer equality is only a fast path: a hash match with distinct
+  // pointers gets the full structural compare, so a collision costs
+  // only time.
+  const auto same = [&](const WarpRec& rec) {
+    return rec.hot == w || *rec.hot == *w;
+  };
 
   const auto insert_locked = [&](std::shared_ptr<const std::string> payload,
                                  std::uint32_t base,
                                  std::uint8_t depth) -> std::uint32_t {
     const auto local = static_cast<std::uint32_t>(s.recs.size());
     WarpRec rec;
-    rec.hot = std::make_shared<sem::Warp>(w);  // deep copy; the pool owns it
+    rec.hot = w;  // shared with the machine; immutable from here on
     rec.hash = h;
     rec.hot_bytes = deep;
     rec.warm = std::move(payload);
@@ -348,7 +354,7 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
         WarpRec& rec = s.recs[local];
         if (rec.hash != h) continue;
         if (rec.hot) {
-          if (*rec.hot == w) {
+          if (same(rec)) {
             touch_locked(s, rec);
             return {(local << kFragShardBits) | shard_no, deep, false};
           }
@@ -370,7 +376,7 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
   // that happens with no shard lock held (resolving a base or candidate
   // takes other locks one at a time), then an optimistic relock/rescan
   // loop closes the race with concurrent inserters.
-  const std::string mine = encode_warp(w);
+  const std::string mine = encode_warp(*w);
   std::shared_ptr<const std::string> payload;
   std::uint32_t base = kNoBase;
   std::uint8_t depth = 0;
@@ -413,7 +419,7 @@ StateStore::Frag StateStore::intern_warp(const sem::Warp& w,
             continue;
           }
           if (rec.hot) {
-            if (*rec.hot == w) {
+            if (same(rec)) {
               touch_locked(s, rec);
               return {(local << kFragShardBits) | shard_no, deep, false};
             }
@@ -833,7 +839,7 @@ StateStore::InternResult StateStore::intern(const sem::Machine& m,
   std::size_t warp_idx = 0;
 
   for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::Warp& w : b.warps) {
+    for (const sem::WarpRef& w : b.warps) {
       const std::uint32_t base = warp_idx < parent_tuple.size()
                                      ? parent_tuple[warp_idx]
                                      : kNoBase;
@@ -870,7 +876,7 @@ sem::Machine StateStore::materialize(StateId id) const {
   std::size_t k = 0;
   m.grid.blocks.resize(shape_.warps_per_block.size());
   for (std::size_t b = 0; b < shape_.warps_per_block.size(); ++b) {
-    std::vector<sem::Warp>& warps = m.grid.blocks[b].warps;
+    std::vector<sem::WarpRef>& warps = m.grid.blocks[b].warps;
     warps.reserve(shape_.warps_per_block[b]);
     for (std::uint32_t i = 0; i < shape_.warps_per_block[b]; ++i) {
       warps.push_back(warp_value(tuple[k++]));
@@ -941,7 +947,7 @@ void StateStore::degrade_spill(const char* why) {
   }
 }
 
-// --- checkpoint codec (format v3) -------------------------------------
+// --- checkpoint codec (format v4) -------------------------------------
 
 void StateStore::encode(support::BinWriter& w) const {
   w.u64(hash_mask_);
@@ -1198,7 +1204,8 @@ StateStore::WireIntern StateStore::decode_state(support::BinReader& r,
     got.warps_per_block.push_back(static_cast<std::uint32_t>(nw));
     total_warps += static_cast<std::uint32_t>(nw);
     for (std::uint64_t i = 0; i < nw; ++i) {
-      const sem::Warp warp = sem::Warp::decode(r);
+      const sem::WarpRef warp =
+          std::make_shared<sem::Warp>(sem::Warp::decode(r));
       // Mirrored states have no parent here; their fresh fragments stay
       // full-encoded (tiering still applies to them).
       const Frag f = intern_warp(warp, kNoBase);

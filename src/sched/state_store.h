@@ -15,7 +15,8 @@
 //     copy, never a byte copy;
 //   * one fragment per warp (the divergence tree with its threads'
 //     register files and predicate states — the scheduler-visible
-//     execution tree);
+//     execution tree), shared by refcount with the copy-on-write
+//     sem::Block the same way (sem::WarpRef);
 //
 // deduplicate each fragment by structural hash with full structural
 // equality as the tie-breaker (a hash collision can cost time, never
@@ -154,13 +155,13 @@ class StateStore {
                       StateId parent = StateId{});
 
   /// Rebuild a full machine from its handle — for replay, verdict
-  /// construction, counterexample traces.  Memory banks are shared by
-  /// refcount with the store (copy-on-write on mutation); warps are
-  /// deep copies.  Fragments demoted to the warm or cold tier are
-  /// transparently decoded (banks are re-promoted to hot so refcount
-  /// sharing keeps working; warps are decoded straight into the
-  /// result).  The result compares structurally equal to the machine
-  /// that was interned.
+  /// construction, counterexample traces.  Memory banks and hot warps
+  /// are shared by refcount with the store (copy-on-write on
+  /// mutation), so materializing copies pointers.  Fragments demoted
+  /// to the warm or cold tier are transparently decoded (banks are
+  /// re-promoted to hot so refcount sharing keeps working; warps are
+  /// decoded straight into the result).  The result compares
+  /// structurally equal to the machine that was interned.
   [[nodiscard]] sem::Machine materialize(StateId id) const;
 
   /// The memoized structural hash the machine had when interned.
@@ -233,7 +234,7 @@ class StateStore {
   /// budget-triggered eviction inside intern() instead.
   void evict_all();
 
-  /// Checkpoint codec (sched/checkpoint.h, format v3).  encode
+  /// Checkpoint codec (sched/checkpoint.h, format v4).  encode
   /// preserves the per-shard insertion order of every fragment pool and
   /// state shard, so decode reproduces the exact same fragment and
   /// state ids — the property that lets a resumed exploration keep
@@ -301,12 +302,14 @@ class StateStore {
   };
 
   /// One tiered warp fragment.  `hot`, `warm` and (cold_off, cold_len)
-  /// are the three tiers; any non-empty subset may be populated.  The
-  /// warm/cold payload is the canonical encoding when `base == kNoBase`
-  /// and a support::delta op stream against fragment `base`'s canonical
-  /// encoding otherwise.
+  /// are the three tiers; any non-empty subset may be populated.  `hot`
+  /// is the very warp the machines that interned or materialized it
+  /// hold (immutable, copy-on-write), so evicting it frees the object
+  /// only once no live machine shares it.  The warm/cold payload is the
+  /// canonical encoding when `base == kNoBase` and a support::delta op
+  /// stream against fragment `base`'s canonical encoding otherwise.
   struct WarpRec {
-    std::shared_ptr<const sem::Warp> hot;
+    sem::WarpRef hot;
     std::shared_ptr<const std::string> warm;
     std::uint64_t hash = 0;       // unmasked structural hash
     std::uint64_t hot_bytes = 0;  // deep-footprint estimate of `hot`
@@ -384,7 +387,7 @@ class StateStore {
   void ensure_shape(const sem::Machine& m);
 
   // --- fragment pools -------------------------------------------------
-  Frag intern_warp(const sem::Warp& w, std::uint32_t base_id);
+  Frag intern_warp(const sem::WarpRef& w, std::uint32_t base_id);
   Frag intern_bank(const mem::Memory::BankRef& b);
   /// Canonical (full) encoding of a warp fragment, resolved through
   /// whatever tier/delta chain it is in.  Takes one shard lock at a
@@ -393,9 +396,9 @@ class StateStore {
   [[nodiscard]] std::string warp_canonical_bytes(std::uint32_t id,
                                                  std::uint8_t* depth_out =
                                                      nullptr) const;
-  /// Decoded warp by value: a copy of the hot object, or a decode of
-  /// the resolved canonical bytes when the fragment is not hot.
-  [[nodiscard]] sem::Warp warp_value(std::uint32_t id) const;
+  /// The hot warp itself, or a decode of the resolved canonical bytes
+  /// when the fragment is not hot.
+  [[nodiscard]] sem::WarpRef warp_value(std::uint32_t id) const;
   [[nodiscard]] std::string bank_canonical_bytes_locked(
       const BankRec& rec) const;
   [[nodiscard]] mem::Memory::BankRef bank_ref(std::uint32_t id) const;

@@ -13,33 +13,46 @@
 
 namespace cac::sem {
 
+/// A block's warps are shared, immutable copy-on-write fragments
+/// (WarpRef), as Memory's banks are: copying a Block, a Grid or a
+/// Machine copies pointers, and sibling states of the explorer and the
+/// state store's hot tier share every warp they have not diverged on.
 struct Block {
-  std::vector<Warp> warps;
+  std::vector<WarpRef> warps;
 
-  friend bool operator==(const Block&, const Block&) = default;
-  void mix_hash(Hasher& h) const;
+  Block() = default;
+  /// A block of fresh, unshared warps.
+  explicit Block(std::vector<Warp> ws);
+
+  /// The one mutable access to a warp: clones warp `i` first when it
+  /// is shared (with another machine or with the state store), and
+  /// drops its hash memo, so the warp is fresh to mutate and its next
+  /// hash() is recomputed.  As Memory::unique_bank does for banks.
+  [[nodiscard]] Warp& unique_warp(std::size_t i);
+
+  /// Pointer equality first, then structure.
+  friend bool operator==(const Block& a, const Block& b);
 };
 
 struct Grid {
   std::vector<Block> blocks;
 
   friend bool operator==(const Grid&, const Grid&) = default;
-  void mix_hash(Hasher& h) const;
-  [[nodiscard]] std::uint64_t hash() const;
 };
 
 /// The full machine configuration <gamma, mu> of Fig. 3.
 ///
-/// hash() is memoized, and so is each root warp's fragment hash
-/// (Warp::hash).  By design the only mutator of a Machine is the
-/// semantics kernel (sem::apply_choice, src/sem/step.cc), which
-/// invalidates the machine's cache and the memos of the warps it
-/// changes on every transition; Memory additionally tracks its own
-/// cache through its mutators.  Code that mutates `grid` or `memory`
-/// directly — tests, hypothetical checkers — must call
-/// invalidate_hash() afterwards, which drops the machine's cache and
-/// every warp memo, or a hash may be stale (operator== is unaffected;
-/// it compares real state only).
+/// hash() is memoized, and composed from the block count, each block's
+/// warp count, each root warp's memoized fragment hash (Warp::hash)
+/// and memory.hash(), so a child state rehashes only the warp its
+/// transition stepped.  Warp memos track themselves (Block::unique_warp
+/// drops the memo of the warp it hands out) and so do Memory's; the
+/// machine-level memo is dropped by the semantics kernel
+/// (sem::apply_choice, src/sem/step.cc) on every transition.  Code that
+/// mutates `grid` or `memory` directly — tests, hypothetical checkers —
+/// calls invalidate_hash() afterwards, or hash() may return the value
+/// from before the mutation (operator== is unaffected; it compares real
+/// state only).
 struct Machine {
   Grid grid;
   mem::Memory memory;
@@ -53,7 +66,9 @@ struct Machine {
     return a.grid == b.grid && a.memory == b.memory;
   }
   [[nodiscard]] std::uint64_t hash() const;
-  void invalidate_hash() const;
+  /// Drops the machine-level memo (warp and bank memos track
+  /// themselves).
+  void invalidate_hash() const { hash_cache.invalidate(); }
 };
 
 /// The paper's `generate_grid kc`: spawn grid_size blocks of block_size

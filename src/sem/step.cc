@@ -647,7 +647,7 @@ std::vector<Choice> eligible_choices(const ptx::Program& prg, const Grid& g) {
   for (std::uint32_t b = 0; b < g.blocks.size(); ++b) {
     const Block& blk = g.blocks[b];
     for (std::uint32_t wi = 0; wi < blk.warps.size(); ++wi) {
-      const Instr& i = prg.fetch(blk.warps[wi].pc());
+      const Instr& i = prg.fetch(blk.warps[wi]->pc());
       if (!ptx::is_bar(i) && !ptx::is_exit(i)) {
         out.push_back({Choice::Kind::ExecWarp, b, wi});
       }
@@ -666,34 +666,31 @@ StepResult apply_choice(const ptx::Program& prg, const KernelConfig& kc,
     throw KernelError("choice references nonexistent block");
   }
   // Every rule below mutates the machine, so the memoized state hash
-  // is stale from here on.  (Memory invalidates its own cache through
-  // its mutators; this covers the combined hash.)  Of the warp memos,
-  // only those of the warps a rule changes are dropped: a child
-  // machine keeps its parent's fragment hashes for the rest.
+  // is stale from here on.  (Memory and the warps track their own
+  // memos: Block::unique_warp clones a shared warp and drops the memo
+  // of the warp it hands out, so a child machine shares, and keeps the
+  // fragment hashes of, every warp the rule leaves alone.)
   m.hash_cache.invalidate();
   Block& blk = m.grid.blocks[c.block];
   if (c.kind == Choice::Kind::ExecWarp) {
     if (c.warp >= blk.warps.size()) {
       throw KernelError("choice references nonexistent warp");
     }
-    Warp& w = blk.warps[c.warp];
-    const Instr& i = prg.fetch(w.pc());
+    const Instr& i = prg.fetch(blk.warps[c.warp]->pc());
     if (ptx::is_bar(i) || ptx::is_exit(i)) {
       throw KernelError("ExecWarp choice is not eligible (warp at " +
                         ptx::to_string(i) + ")");
     }
-    // After the step: sync may replace the warp by a moved subtree.
-    const StepResult r = step_warp(prg, kc, c.block, w, m.memory, opts, events);
-    w.invalidate_hash();
-    return r;
+    return step_warp(prg, kc, c.block, blk.unique_warp(c.warp), m.memory,
+                     opts, events);
   }
   // lift-bar: all warps uniform at Bar -> commit Shared, advance pcs.
   if (!block_at_barrier(prg, blk)) {
     throw KernelError("LiftBar choice is not eligible");
   }
-  for (Warp& w : blk.warps) {
+  for (std::size_t wi = 0; wi < blk.warps.size(); ++wi) {
+    Warp& w = blk.unique_warp(wi);
     w.set_uni_pc(w.uni_pc() + 1);
-    w.invalidate_hash();
   }
   m.memory.commit_shared(c.block);
   return {};
@@ -704,8 +701,8 @@ bool warp_complete(const ptx::Program& prg, const Warp& w) {
 }
 
 bool block_complete(const ptx::Program& prg, const Block& b) {
-  return std::all_of(b.warps.begin(), b.warps.end(), [&](const Warp& w) {
-    return warp_complete(prg, w);
+  return std::all_of(b.warps.begin(), b.warps.end(), [&](const WarpRef& w) {
+    return warp_complete(prg, *w);
   });
 }
 
@@ -717,8 +714,8 @@ bool terminated(const ptx::Program& prg, const Grid& g) {
 
 bool block_at_barrier(const ptx::Program& prg, const Block& b) {
   if (b.warps.empty()) return false;
-  return std::all_of(b.warps.begin(), b.warps.end(), [&](const Warp& w) {
-    return !w.divergent() && ptx::is_bar(prg.fetch(w.uni_pc()));
+  return std::all_of(b.warps.begin(), b.warps.end(), [&](const WarpRef& w) {
+    return !w->divergent() && ptx::is_bar(prg.fetch(w->uni_pc()));
   });
 }
 
@@ -733,7 +730,7 @@ std::string stuck_reason(const ptx::Program& prg, const Grid& g) {
     const Block& blk = g.blocks[b];
     if (block_complete(prg, blk)) continue;
     for (std::uint32_t wi = 0; wi < blk.warps.size(); ++wi) {
-      const Warp& w = blk.warps[wi];
+      const Warp& w = *blk.warps[wi];
       const Instr& i = prg.fetch(w.pc());
       const std::string where =
           "block " + std::to_string(b) + " warp " + std::to_string(wi);

@@ -13,7 +13,7 @@ Warp& Warp::operator=(const Warp& other) {
   threads_ = other.threads_;
   left_ = other.left_ ? std::make_unique<Warp>(*other.left_) : nullptr;
   right_ = other.right_ ? std::make_unique<Warp>(*other.right_) : nullptr;
-  hash_cache_ = other.hash_cache_;
+  hash_cache_ = other.hash_cache_;  // empties ours: a copy is recomputed
   return *this;
 }
 

@@ -67,14 +67,14 @@ class Warp {
   void mix_hash(Hasher& h) const;
 
   /// The fragment hash: mix_hash over a fresh Hasher, memoized.  The
-  /// state store keys warp fragments by it (sched/state_store.h).
-  /// Mutators do not invalidate the memo themselves: the semantics
-  /// kernel (sem::apply_choice) invalidates exactly the warps a
-  /// transition changes, and Machine::invalidate_hash() every warp of
-  /// a machine; code that mutates a warp in place otherwise calls
-  /// invalidate_hash() before hashing it again.  Excluded from ==;
-  /// copies carry it.  Not synchronized (HashCache): a warp shared
-  /// between threads is hashed before it is published.
+  /// state store keys warp fragments by it (sched/state_store.h), and
+  /// Machine::hash() is composed from the root warps' values.  Root
+  /// warps are shared, immutable copy-on-write fragments (WarpRef), so
+  /// the memo is a SharedHashCache, as a memory bank's is: racing
+  /// fillers are safe, copies start empty, and the one mutation point,
+  /// Block::unique_warp, drops it before handing the warp out.  Code
+  /// that mutates a warp value it owns outright (not through a Block)
+  /// calls invalidate_hash() before hashing it again.  Excluded from ==.
   [[nodiscard]] std::uint64_t hash() const;
   void invalidate_hash() const { hash_cache_.invalidate(); }
 
@@ -92,8 +92,14 @@ class Warp {
   ThreadVec threads_;
   std::unique_ptr<Warp> left_;
   std::unique_ptr<Warp> right_;
-  HashCache hash_cache_;
+  SharedHashCache hash_cache_;
 };
+
+/// Refcounted immutable root warp — the sharing currency between
+/// machines and the interning state store, as Memory::BankRef is for
+/// banks.  Allocate the pointee mutable (std::make_shared<Warp>):
+/// Block::unique_warp sheds the const of a uniquely owned warp.
+using WarpRef = std::shared_ptr<const Warp>;
 
 /// The reconvergence function of Fig. 2.  Applied by the Sync rule to
 /// the whole warp tree:

@@ -108,17 +108,21 @@ class HashCache {
 
 /// Memoization slot for the structural hash of an object that may be
 /// *shared between threads* once it becomes immutable — the refcounted
-/// copy-on-write memory banks (mem::Memory::Bank).  Unlike HashCache,
-/// racing get_or calls are allowed: the hash is a pure function of the
-/// immutable content, so concurrent fillers compute the same value and
-/// the release/acquire pair makes whichever store wins visible.
-/// Copies start empty: a bank is only ever copied to be mutated
-/// (copy-on-write), so carrying the cache over would just go stale.
+/// copy-on-write memory banks (mem::Memory::Bank) and root warps
+/// (sem::Warp).  Unlike HashCache, racing get_or calls are allowed: the
+/// hash is a pure function of the immutable content, so concurrent
+/// fillers compute the same value and the release/acquire pair makes
+/// whichever store wins visible.  Copies start empty and assignment
+/// empties the target: a shared object is only ever copied to be
+/// mutated (copy-on-write), so carrying the cache over would go stale.
 class SharedHashCache {
  public:
   SharedHashCache() = default;
-  SharedHashCache(const SharedHashCache&) {}
-  SharedHashCache& operator=(const SharedHashCache&) { return *this; }
+  SharedHashCache(const SharedHashCache&) noexcept {}
+  SharedHashCache& operator=(const SharedHashCache&) noexcept {
+    invalidate();
+    return *this;
+  }
 
   template <typename Fn>
   std::uint64_t get_or(Fn&& compute) const {

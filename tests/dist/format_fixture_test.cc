@@ -1,23 +1,31 @@
 // Format stability: files written by an earlier build must decode and
 // re-encode to identical bytes, so no byte of the on-disk or on-wire
 // layout changes without a version bump (Checkpoint::kFormatVersion,
-// dist::kProtoVersion).
+// dist::kProtoVersion), and files of an older version are rejected with
+// a typed VersionMismatch instead of being misread.
 //
-// The fixtures in tests/data/ were written by the build that predates
-// the shared state-graph module (sched/graph.h), when the parallel
-// checkpoint and the distributed wire still had separate node codecs:
+// The current fixtures in tests/data/ were written by the build that
+// composes Machine::hash() from warp fragment hashes (checkpoint format
+// 4, protocol 6):
 //
-//  * parallel_v3.ckpt — a Parallel-engine checkpoint of reduce_shared
+//  * parallel_v4.ckpt — a Parallel-engine checkpoint of reduce_shared
 //    (4 threads, warp size 2: the ReduceFixture setup below; one
-//    explorer thread, stopped by stop_after_states = 20): graph nodes,
-//    a frontier, and the embedded StateStore.  It was loaded and saved
-//    once more by that build: a live store's resident-bytes counter is
-//    tiering-dependent and recomputed by decode, so only a decoded
-//    store re-encodes to the same bytes;
-//  * graph_part_v5.frame — one kGraphPart frame: worker 1's slice of a
-//    barrier_divergence graph (8 threads, warp size 2) with Gid-keyed
-//    edges naming both workers, a stuck node, a node with a faulted and
-//    an overflow edge, and nonzero store stats.
+//    explorer thread, stopped by stop_after_states = 20 at 36 states;
+//    a 1-byte resident budget slowed interning so that the monitor's
+//    poll caught the cut early, and tiering never changes checkpoint
+//    bytes): graph nodes, a frontier, and the embedded StateStore.  It
+//    was loaded and saved once more by that build: a live store's
+//    resident-bytes counter is tiering-dependent and recomputed by
+//    decode, so only a decoded store re-encodes to the same bytes;
+//  * graph_part_v6.frame — one kGraphPart frame: worker 1's slice of a
+//    barrier_divergence graph (8 threads, warp size 2; two workers,
+//    stopped by stop_after_states = 200) with Gid-keyed edges naming
+//    both workers, a stuck node, a node with a faulted and an overflow
+//    edge, and nonzero store stats.
+//
+// The older fixtures are kept as rejection inputs: parallel_v3.ckpt and
+// graph_part_v5.frame, the same setups written by the build before the
+// composed hash (their stored state hashes are the streamed ones).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -63,7 +71,7 @@ struct ReduceFixture {
 };
 
 TEST(FormatFixture, ParallelCheckpointReencodesByteIdentically) {
-  const std::string path = fixture("parallel_v3.ckpt");
+  const std::string path = fixture("parallel_v4.ckpt");
   const sched::Checkpoint ck = sched::Checkpoint::load(path);
   EXPECT_EQ(ck.engine, sched::Checkpoint::Engine::Parallel);
   EXPECT_FALSE(ck.nodes.empty());
@@ -82,7 +90,7 @@ TEST(FormatFixture, ParallelCheckpointResumesToTheUninterruptedVerdict) {
 
   for (const std::uint32_t threads : {1u, 2u}) {
     const sched::Checkpoint ck =
-        sched::Checkpoint::load(fixture("parallel_v3.ckpt"));
+        sched::Checkpoint::load(fixture("parallel_v4.ckpt"));
     sched::ExploreOptions cont = f.opts;
     cont.num_threads = threads;
     const sched::ExploreResult resumed =
@@ -102,7 +110,7 @@ TEST(FormatFixture, ParallelCheckpointResumesToTheUninterruptedVerdict) {
 }
 
 TEST(FormatFixture, GraphPartFrameReencodesByteIdentically) {
-  const std::string bytes = slurp(fixture("graph_part_v5.frame"));
+  const std::string bytes = slurp(fixture("graph_part_v6.frame"));
   FrameReader fr;
   fr.feed(bytes.data(), bytes.size());
   const std::optional<Frame> f = fr.next();
@@ -129,6 +137,39 @@ TEST(FormatFixture, GraphPartFrameReencodesByteIdentically) {
   support::BinWriter w;
   m.encode(w);
   EXPECT_EQ(encode_frame(FrameType::kGraphPart, w.buffer()), bytes);
+}
+
+TEST(FormatFixture, V3CheckpointRejectedWithVersionMismatch) {
+  try {
+    (void)sched::Checkpoint::load(fixture("parallel_v3.ckpt"));
+    FAIL() << "v3 checkpoint accepted";
+  } catch (const sched::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), sched::CheckpointError::Kind::VersionMismatch)
+        << e.what();
+  }
+}
+
+TEST(FormatFixture, V5FrameRejectedWithVersionMismatch) {
+  const std::string path = fixture("graph_part_v5.frame");
+  const std::string bytes = slurp(path);
+  FrameReader fr;
+  fr.feed(bytes.data(), bytes.size());
+  try {
+    (void)fr.next();
+    FAIL() << "v5 frame accepted";
+  } catch (const DistError& e) {
+    EXPECT_EQ(e.kind(), DistError::Kind::VersionMismatch) << e.what();
+    EXPECT_EQ(to_string(e.kind()), "version-mismatch");
+  }
+  // The generation-file reader reports it the way checkpoint loading
+  // does.
+  try {
+    (void)load_frame_file(path, FrameType::kGraphPart);
+    FAIL() << "v5 frame file accepted";
+  } catch (const sched::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), sched::CheckpointError::Kind::VersionMismatch)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -288,6 +288,29 @@ TEST(DistFrame, LengthLiesAreRejected) {
       DistError);
 }
 
+TEST(DistFrame, IntactFrameOfAnotherVersionIsVersionMismatch) {
+  // A frame whose checksum holds over a foreign version byte was
+  // written by another build: a skew, reported as such (a damaged
+  // version byte fails the checksum and stays Corrupt, see above).
+  const std::string good = encode_frame(FrameType::kStop, "");
+  for (const int delta : {-1, 1}) {
+    std::string other = good;
+    other[4] = static_cast<char>(kProtoVersion + delta);
+    const std::uint64_t sum = fnv1a(other.data(), 12);
+    for (int i = 0; i < 8; ++i) {
+      other[12 + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
+    }
+    FrameReader fr;
+    fr.feed(other.data(), other.size());
+    try {
+      (void)fr.next();
+      FAIL() << "accepted a version " << kProtoVersion + delta << " frame";
+    } catch (const DistError& e) {
+      EXPECT_EQ(e.kind(), DistError::Kind::VersionMismatch) << e.what();
+    }
+  }
+}
+
 TEST(DistFrame, BadMagicVersionTypeReservedRejected) {
   const std::string good = encode_frame(FrameType::kStop, "");
   const auto expect_corrupt = [&](std::size_t off, char value) {

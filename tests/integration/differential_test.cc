@@ -55,7 +55,7 @@ TEST_P(DifferentialTest, ConcreteAndSymbolicAgree) {
 
   sem::ThreadVec finals;
   for (const sem::Block& b : m.grid.blocks) {
-    for (const sem::Warp& w : b.warps) w.collect_threads(finals);
+    for (const sem::WarpRef& w : b.warps) w->collect_threads(finals);
   }
   ASSERT_EQ(finals.size(), 4u);
 

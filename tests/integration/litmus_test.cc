@@ -52,8 +52,8 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> outcomes(
   std::set<std::pair<std::uint64_t, std::uint64_t>> out;
   for (const sem::Machine& m : r.finals()) {
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) {
+      for (const sem::WarpRef& w : b.warps) {
+        for (const sem::Thread& t : w->threads()) {
           if (t.tid == obs_tid) {
             out.emplace(t.rho.read(r1), t.rho.read(r2));
           }
@@ -125,8 +125,8 @@ TEST(Litmus, StoreBufferingIsSCInTheModel) {
   for (const sem::Machine& m : r.finals()) {
     std::uint64_t v[2] = {};
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) v[t.tid] = t.rho.read(r1);
+      for (const sem::WarpRef& w : b.warps) {
+        for (const sem::Thread& t : w->threads()) v[t.tid] = t.rho.read(r1);
       }
     }
     got.emplace(v[0], v[1]);
@@ -153,8 +153,8 @@ TEST(Litmus, RacyReadsAreFlaggedOnEverySchedule) {
     ASSERT_TRUE(rr.terminated());
     bool saw_one = false;
     for (const sem::Block& b : m.grid.blocks) {
-      for (const sem::Warp& w : b.warps) {
-        for (const sem::Thread& t : w.threads()) {
+      for (const sem::WarpRef& w : b.warps) {
+        for (const sem::Thread& t : w->threads()) {
           saw_one |= t.rho.read(r1) == 1;
         }
       }

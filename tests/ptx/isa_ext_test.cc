@@ -107,7 +107,7 @@ TEST(IsaExt, VectorStoreRoundTripsThroughMemory) {
   EXPECT_EQ(m.memory.load(mem::Space::Global, 8, 4), 11u);
   EXPECT_EQ(m.memory.load(mem::Space::Global, 12, 4), 22u);
   sem::ThreadVec ts;
-  m.grid.blocks[0].warps[0].collect_threads(ts);
+  m.grid.blocks[0].warps[0]->collect_threads(ts);
   EXPECT_EQ(ts[0].rho.read({TypeClass::UI, 32, 3}), 11u);
   EXPECT_EQ(ts[0].rho.read({TypeClass::UI, 32, 4}), 22u);
 }

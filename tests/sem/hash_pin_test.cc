@@ -2,10 +2,12 @@
 // and the warp fragment hashes are stored in checkpoints and sent on
 // the distributed wire, and Warp::encode bytes are the checkpoint and
 // frame payloads, so a change of the register-file or warp
-// representation must leave every value below unchanged.  The
+// representation must leave every value below unchanged.  The warp
 // constants were captured from the std::map-based register file, the
 // representation before the flat one; a warp's bytes are pinned by
-// their length and 64-bit FNV-1a digest.
+// their length and 64-bit FNV-1a digest.  The machine hashes were
+// captured when Machine::hash() became a mix of the warp fragment
+// hashes (checkpoint format 4, protocol 6).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -47,13 +49,13 @@ Machine pin_hand_built() {
   g.blocks.resize(2);
   // Block 0: a uniform warp and a divergent D(U, D(U, U)) tree whose
   // last leaf is empty.
-  g.blocks[0].warps.emplace_back(
-      3, ThreadVec{pin_thread(0, 1), pin_thread(1, 2)});
-  g.blocks[0].warps.emplace_back(
+  g.blocks[0].warps.push_back(std::make_shared<Warp>(
+      3, ThreadVec{pin_thread(0, 1), pin_thread(1, 2)}));
+  g.blocks[0].warps.push_back(std::make_shared<Warp>(
       Warp(7, ThreadVec{pin_thread(2, 3)}),
-      Warp(Warp(9, ThreadVec{pin_thread(3, 4)}), Warp(11, ThreadVec{})));
+      Warp(Warp(9, ThreadVec{pin_thread(3, 4)}), Warp(11, ThreadVec{}))));
   // Block 1: a fresh warp with no register written.
-  g.blocks[1].warps.push_back(make_warp(4, 2));
+  g.blocks[1].warps.push_back(std::make_shared<Warp>(make_warp(4, 2)));
   mem::Memory mu(mem::MemSizes{16, 0, 8, 0, 2});
   mu.store(mem::Space::Global, 4, 4, 0xdeadbeef, true);
   return Machine(std::move(g), std::move(mu));
@@ -92,14 +94,14 @@ void expect_pinned(const Machine& m, std::uint64_t machine_hash,
   EXPECT_EQ(m.hash(), machine_hash);
   std::size_t k = 0;
   for (const Block& b : m.grid.blocks) {
-    for (const Warp& w : b.warps) {
+    for (const WarpRef& w : b.warps) {
       ASSERT_LT(k, pins.size());
       Hasher streamed;
-      w.mix_hash(streamed);
+      w->mix_hash(streamed);
       support::BinWriter bw;
-      w.encode(bw);
+      w->encode(bw);
       const std::string bytes = bw.take();
-      EXPECT_EQ(w.hash(), pins[k].hash) << "warp " << k << " " << w.shape();
+      EXPECT_EQ(w->hash(), pins[k].hash) << "warp " << k << " " << w->shape();
       EXPECT_EQ(streamed.value(), pins[k].hash) << "warp " << k;
       EXPECT_EQ(bytes.size(), pins[k].bytes) << "warp " << k;
       EXPECT_EQ(fnv1a(bytes), pins[k].digest) << "warp " << k;
@@ -111,9 +113,9 @@ void expect_pinned(const Machine& m, std::uint64_t machine_hash,
 
 TEST(HashPin, HandBuiltMachine) {
   const Machine m = pin_hand_built();
-  ASSERT_EQ(m.grid.blocks[0].warps[1].shape(),
+  ASSERT_EQ(m.grid.blocks[0].warps[1]->shape(),
             "D(U(7;1),D(U(9;1),U(11;0)))");
-  expect_pinned(m, 0xdeebda1e1120cf51ull,
+  expect_pinned(m, 0xeff8d5bbf042e798ull,
                 {{0xe4c5f9590884c84full, 251, 0x31adaef7989aa181ull},
                  {0x24a8e6ecbb4f4e08ull, 279, 0xb43dc07957f0dd29ull},
                  {0x2d2bef5dc5b33b16ull, 53, 0x8c2b827b178dfafcull}});
@@ -121,7 +123,7 @@ TEST(HashPin, HandBuiltMachine) {
 
 TEST(HashPin, BlockAfterLiftBar) {
   const Machine m = pin_after_liftbar();
-  expect_pinned(m, 0x22e17419fda68ed7ull,
+  expect_pinned(m, 0x6a1f56df2dfce27eull,
                 {{0x48ba39673cbdc350ull, 269, 0x27b50ac1ed3d7f55ull},
                  {0xe04005fa3013a9bcull, 269, 0x1b18cfae63cef711ull}});
 }

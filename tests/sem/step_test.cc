@@ -457,8 +457,8 @@ TEST(BlockRules, LiftBarWhenAllWarpsAtBar) {
   EXPECT_EQ(choices[0].kind, Choice::Kind::LiftBar);
 
   ASSERT_TRUE(apply_choice(prg, kc4(), m, choices[0]).ok());
-  EXPECT_EQ(m.grid.blocks[0].warps[0].uni_pc(), 1u);
-  EXPECT_EQ(m.grid.blocks[0].warps[1].uni_pc(), 1u);
+  EXPECT_EQ(m.grid.blocks[0].warps[0]->uni_pc(), 1u);
+  EXPECT_EQ(m.grid.blocks[0].warps[1]->uni_pc(), 1u);
   EXPECT_TRUE(m.memory.all_valid(Space::Shared, 0, 4));  // commit(mu)
   EXPECT_TRUE(terminated(prg, m.grid));
 }

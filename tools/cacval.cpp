@@ -725,9 +725,12 @@ bool retryable(const dist::DistError& e) {
     case dist::DistError::Kind::PeerDied:
     case dist::DistError::Kind::Timeout:
       return true;
-    default:
+    case dist::DistError::Kind::Corrupt:
+    case dist::DistError::Kind::Protocol:
+    case dist::DistError::Kind::VersionMismatch:
       return false;
   }
+  return false;
 }
 
 int worse_exit(int a, int b);
